@@ -14,7 +14,7 @@ from .analysis import (BoundInputs, batch_means_se, contraction_gamma,
                        posterior_mean_estimate, predictive_error, running_mse,
                        squared_error,
                        w2_bound_sequence, w2_trajectory)
-from .channel import (ChannelConfig, ChannelRound, ProtocolError, check_power,
+from .channel import (ChannelConfig, ProtocolError, check_power,
                       inversion_power_gain, noma_superpose, power_gain,
                       receive_aggregate, residual_noise_power, transmit_signal)
 from .harness import (ConfigurationError, SweepSpec, build_dataset,
@@ -33,7 +33,7 @@ from .sampling import (DeviceState, SharedRandomness, correlated_noise,
 __all__ = [
     "__version__",
     "ALGORITHMS", "BENCHMARK_THETA_STAR",
-    "BoundInputs", "ChannelConfig", "ChannelRound", "ConfigurationError",
+    "BoundInputs", "ChannelConfig", "ConfigurationError",
     "Dataset", "DeviceState", "GaussianDist", "LocalDataset",
     "ProtocolError", "RegularityConstants", "RunConfig", "RunResult",
     "SharedRandomness", "SweepSpec",

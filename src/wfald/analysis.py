@@ -174,7 +174,7 @@ class BoundInputs:
                    grad_bound=c.grad_bound, sigma_sq_sum=c.grad_noise_sq_sum,
                    eta=cfg.eta, p_c=cfg.p_c, k=cfg.k, dim=cfg.dim,
                    w2_init_sq=gaussian_w2_squared(init, posterior),
-                   beta_by_round=result.beta_by_round(replicate))
+                   beta_by_round=np.nan_to_num(result.beta[replicate], nan=0.0))
 
 
 def drift_free_term(inputs: BoundInputs) -> float:

@@ -23,11 +23,16 @@ and the excess beyond the target is the residual noise power
     beta = max{0, noise_level / (alpha K)^2 - 2 eta / K},
 
 which is zero exactly when the power constraint is slack.
+
+The per-round functions take any number of leading replicate axes, so one call
+serves a whole block of replicates: payloads and signals are (..., K, d),
+gains (..., K), and the common gain alpha, like every per-round scalar, is
+(...,).  One replicate's round is the case without a leading axis.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,22 +88,15 @@ class ChannelConfig:
             noise_level = power / (block_dim * 10.0 ** (snr_db / 10.0))
         return cls(power=power, noise_level=noise_level, block_dim=block_dim, **kwargs)
 
-    def draw_gains(self, k_total: int, rng: np.random.Generator) -> np.ndarray:
+    def draw_gains(self, size, rng: np.random.Generator) -> np.ndarray:
+        """Gain magnitudes of shape ``size``, e.g. (rounds, K).
+
+        Rayleigh gains are drawn in C order, so a (rounds, K) draw consumes
+        the gain stream exactly like one K-gain draw per round.
+        """
         if self.gain_model == "constant":
-            return np.full(k_total, self.gain_value)
-        return rng.rayleigh(self.rayleigh_scale, k_total)
-
-
-@dataclass(frozen=True)
-class ChannelRound:
-    """Diagnostics for one wireless aggregation round."""
-
-    iteration: int
-    gains: np.ndarray
-    noise: np.ndarray
-    alpha: float
-    beta: float
-    payload_norms: np.ndarray
+            return np.full(size, self.gain_value)
+        return rng.rayleigh(self.rayleigh_scale, size)
 
 
 def transmit_signal(theta: np.ndarray, grad: np.ndarray, eta: float,
@@ -107,68 +105,65 @@ def transmit_signal(theta: np.ndarray, grad: np.ndarray, eta: float,
     return alpha_k * (theta - eta * grad)
 
 
+def _power_branch(payloads: np.ndarray, gains: np.ndarray, power: float) -> np.ndarray:
+    """min_k sqrt(power) |h_k| / ||payload_k|| over devices with a nonzero payload.
+
+    A masked min over the device axis; inf where every payload is zero.
+    """
+    norms = np.linalg.norm(payloads, axis=-1)
+    ratio = np.divide(np.sqrt(power) * np.asarray(gains, dtype=float), norms,
+                      out=np.full(norms.shape, np.inf), where=norms > 0)
+    return ratio.min(axis=-1)
+
+
 def power_gain(payloads: np.ndarray, gains: np.ndarray, power: float,
-               noise_level: float, eta: float, k_total: int) -> float:
+               noise_level: float, eta: float, k_total: int):
     """Common gain alpha: Langevin noise cap intersected with power feasibility.
 
-    ``payloads`` is (K, d).  Devices with zero payload norm impose no power
-    constraint.  At noise_level = 0 the cap branch is degenerate (it would
-    force alpha = 0), so the gain comes from the power branch alone; the
-    protocol layer restores the missing common-noise variance explicitly.
+    Devices with zero payload norm impose no power constraint.  At
+    noise_level = 0 the cap branch is degenerate (it would force alpha = 0),
+    so the gain comes from the power branch alone; the protocol layer
+    restores the missing common-noise variance explicitly.
     """
-    norms = np.linalg.norm(payloads, axis=1)
-    gains = np.asarray(gains, dtype=float)
-    active = norms > 0
-    if active.any():
-        power_branch = float(np.min(np.sqrt(power) * gains[active] / norms[active]))
-    else:
-        power_branch = np.inf
+    alpha = _power_branch(payloads, gains, power)
     if noise_level > 0:
-        cap = float(np.sqrt(noise_level / (2.0 * eta * k_total)))
-        alpha = min(cap, power_branch)
-    else:
-        alpha = power_branch
-    if not np.isfinite(alpha):
-        # every payload is zero; any gain transmits the zero signal
-        alpha = 1.0
-    return alpha
+        alpha = np.minimum(float(np.sqrt(noise_level / (2.0 * eta * k_total))), alpha)
+    # every payload zero: any gain transmits the zero signal
+    return np.where(np.isfinite(alpha), alpha, 1.0)[()]
 
 
-def inversion_power_gain(payloads: np.ndarray, gains: np.ndarray, power: float) -> float:
+def inversion_power_gain(payloads: np.ndarray, gains: np.ndarray, power: float):
     """Pure scaled channel inversion at full power (no Langevin noise cap)."""
-    norms = np.linalg.norm(payloads, axis=1)
-    gains = np.asarray(gains, dtype=float)
-    active = norms > 0
-    if not active.any():
-        return 1.0
-    return float(np.min(np.sqrt(power) * gains[active] / norms[active]))
+    alpha = _power_branch(payloads, gains, power)
+    return np.where(np.isfinite(alpha), alpha, 1.0)[()]
 
 
-def noma_superpose(signals: np.ndarray, gains: np.ndarray,
-                   rng: np.random.Generator, noise_level: float):
+def noma_superpose(signals: np.ndarray, gains: np.ndarray, noise: np.ndarray,
+                   noise_level: float):
     """Superpose the K transmit blocks and add receiver noise.
 
-    Returns (received vector, noise draw).  The noise draw is always a scaled
-    standard-normal block so stream consumption does not depend on the noise
-    level (a noiseless channel consumes the same randomness and adds zero).
+    ``noise`` is the round's standard-normal block, shape (..., d), and the
+    receiver noise is that block scaled by sqrt(noise_level).  The block is
+    drawn whatever the noise level, so stream consumption does not depend on
+    it (a noiseless channel adds zero).  Returns (received vector, noise).
     """
     signals = np.asarray(signals, dtype=float)
-    if signals.ndim != 2:
-        raise ValueError("signals must be (K, d)")
-    z = np.sqrt(noise_level) * rng.standard_normal(signals.shape[1])
-    y = np.asarray(gains, dtype=float) @ signals + z
+    if signals.ndim < 2:
+        raise ValueError("signals must be (..., K, d)")
+    z = np.sqrt(noise_level) * noise
+    y = np.einsum("...k,...kd->...d", np.asarray(gains, dtype=float), signals) + z
     return y, z
 
 
-def receive_aggregate(y: np.ndarray, alpha: float, k_total: int) -> np.ndarray:
+def receive_aggregate(y: np.ndarray, alpha, k_total: int) -> np.ndarray:
     """Receiver post-scaling y / (K alpha)."""
-    if alpha <= 0:
+    alpha = np.asarray(alpha, dtype=float)
+    if not (alpha > 0).all():
         raise ValueError(f"common gain must be positive, got {alpha}")
-    return y / (k_total * alpha)
+    return y / (k_total * alpha)[..., None]
 
 
-def residual_noise_power(alpha: float, noise_level: float, eta: float,
-                         k_total: int) -> float:
+def residual_noise_power(alpha, noise_level: float, eta: float, k_total: int):
     """Per-coordinate channel noise variance in excess of the Langevin target.
 
     When the scaling factor sits on its noise-matched value the subtraction
@@ -176,14 +171,12 @@ def residual_noise_power(alpha: float, noise_level: float, eta: float,
     rounding noise and snap to zero.
     """
     target = 2.0 * eta / k_total
-    excess = noise_level / (alpha * k_total) ** 2 - target
-    if excess <= 16.0 * np.finfo(float).eps * target:
-        return 0.0
-    return excess
+    excess = noise_level / (np.asarray(alpha, dtype=float) * k_total) ** 2 - target
+    return np.where(excess <= 16.0 * np.finfo(float).eps * target, 0.0, excess)[()]
 
 
 def check_power(signals: np.ndarray, power: float) -> np.ndarray:
     """Boolean per-device feasibility ||x_k||^2 <= power (tiny float slack)."""
     signals = np.atleast_2d(np.asarray(signals, dtype=float))
-    sq = np.sum(signals * signals, axis=1)
+    sq = np.sum(signals * signals, axis=-1)
     return sq <= power * (1.0 + 1e-9) + 1e-300

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._version import __version__
-from .analysis import (BoundInputs, drift_bounds, empirical_gaussian,
+from .analysis import (BoundInputs, contraction_gamma, drift_bounds, empirical_gaussian,
                        gaussian_w2_squared, per_device_mse, predictive_error,
                        running_mse, w2_bound_sequence)
 from .model import Dataset, exact_posterior, generate_synthetic
@@ -233,13 +233,31 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
     return mean, se
 
 
+def bound_skip_reason(result: RunResult) -> str | None:
+    """Why the convergence bound does not apply to a run, or None if it does.
+
+    The bound covers WFALD and FALD, and needs a step size within the
+    contraction range eta <= 2 / L of the measured smoothness L.
+    """
+    cfg = result.config
+    if cfg.algorithm not in _BOUNDED:
+        return f"the convergence bound covers {' and '.join(_BOUNDED)} only"
+    c = result.constants
+    try:
+        contraction_gamma(cfg.eta, c.strong_convexity, c.smoothness)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
 def summarize_run(result: RunResult, posterior, test_inputs=None, test_targets=None):
     """Aggregate a run into a summary row and a per-iteration table.
 
     Per-iteration rows are indexed by completed round s = 1..S: drift columns
     describe the particle state entering round s, channel columns the round-s
     transmission (nan when round s did not aggregate over the air), and
-    accuracy columns the state after round s.
+    accuracy columns the state after round s.  The bound columns are nan
+    where ``bound_skip_reason`` gives a reason.
     """
     cfg = result.config
     R, S = cfg.replicates, cfg.s_total
@@ -256,7 +274,7 @@ def summarize_run(result: RunResult, posterior, test_inputs=None, test_targets=N
 
     bound_mean = bound_se = float("nan")
     bound_per_iter = np.full(S, np.nan)
-    if cfg.algorithm in _BOUNDED:
+    if bound_skip_reason(result) is None:
         seqs = np.stack([
             w2_bound_sequence(BoundInputs.from_run(result, posterior, r))
             for r in range(R)])
@@ -301,10 +319,10 @@ def summarize_run(result: RunResult, posterior, test_inputs=None, test_targets=N
     }
 
     mse_run = running_mse(result.avg_traj, cfg.s_burn, posterior.mean)
-    betas = np.stack([result.beta_by_round(r) for r in range(R)])
-    alphas = np.stack([result.alpha_by_round(r) for r in range(R)])
-    alpha_cnt = (~np.isnan(alphas)).sum(axis=0)
-    alpha_sum = np.nansum(alphas, axis=0)
+    # residual noise counts as zero on rounds that are not wireless
+    betas = np.nan_to_num(result.beta, nan=0.0)
+    alpha_cnt = (~np.isnan(result.alpha)).sum(axis=0)
+    alpha_sum = np.nansum(result.alpha, axis=0)
     alpha_mean = np.divide(alpha_sum, alpha_cnt,
                            out=np.full(S, np.nan), where=alpha_cnt > 0)
     vt_iter = result.v_theta.mean(axis=0)

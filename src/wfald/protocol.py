@@ -17,6 +17,28 @@ Four protocols share one engine:
   scheduling, batching and channel, but no Langevin noise anywhere and pure
   full-power scaled channel inversion; the estimate is the final iterate.
 
+Engine.  Replicates are independent, so the engine advances a block of up to
+``REPLICATE_BLOCK`` of them together: one Python iteration per round updates
+a (B, K, d) array of particles, and each per-round step (mini-batch
+gradients, drift statistics, power control, superposition) is one vectorized
+call for the whole block.  A tape feeds the block.  For each replicate it
+first draws the round flags of the whole run, which fix what every round
+draws from the other streams: batch keys on every round, private noise where
+tau < 1, common noise where tau > 0, and on wireless rounds the fading
+gains, the receiver noise and, for a noiseless WFALD channel, the block that
+restores the Langevin noise.  It then draws each of those streams
+``TAPE_WINDOW`` rounds at a time, in the order a round-by-round run consumes
+it, so memory stays bounded by the block and the window, not by the run.
+
+Invariance.  Philox streams are counter based, so a stream drawn in blocks of
+any size yields exactly the values per-round draws yield (pinned by
+``tests/test_rng.py`` and ``wfald validate``), and every replicate's
+arithmetic is the same element-wise sequence whatever block it sits in.
+Outputs are therefore bitwise independent of ``REPLICATE_BLOCK`` and
+``TAPE_WINDOW``; both are memory/speed constants, not settings.  A
+``ProtocolError`` names the earliest failing round and, within it, the
+lowest failing replicate.
+
 Determinism: every replicate's streams are derived from
 (master_seed, grid position, replicate) as described in :mod:`wfald.rng`;
 re-running an identical configuration reproduces results bitwise.  Runs of
@@ -27,12 +49,12 @@ sequences and identical mini-batch index sequences.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import rng as _rng
-from .channel import (ChannelConfig, ChannelRound, ProtocolError, check_power,
+from .channel import (ChannelConfig, ProtocolError, check_power,
                       inversion_power_gain, noma_superpose, power_gain,
                       receive_aggregate, residual_noise_power)
 from .model import (Dataset, RegularityConstants, batch_size, exact_posterior,
@@ -42,6 +64,13 @@ ALGORITHMS = ("WFALD", "FALD", "SGLD", "WFedAvg")
 
 #: benchmark regression coefficients for the d = 5 reference problem
 BENCHMARK_THETA_STAR = np.array([-0.0615, -1.6057, 1.7629, 1.0240, -1.5902])
+
+#: replicates advanced together; sized so a block's tape and per-round
+#: arrays stay within a few MB at the reference problem (K=30, n=1200)
+REPLICATE_BLOCK = 16
+
+#: rounds of every random stream drawn at once
+TAPE_WINDOW = 32
 
 
 # ---------------------------------------------------------------- config --- #
@@ -78,7 +107,7 @@ class RunConfig:
     region_radius: float | None = None
     tau_override: float | None = None
     force_final_agg: bool | None = None
-    store_device_trajectories: bool = True
+    store_device_trajectories: bool = False
     thin_stride: int = 1
     store_batch_indices: bool = False
     seed_path: tuple = (0, 0)
@@ -144,7 +173,10 @@ class RunResult:
     the shared zero initialization), ``device_mean`` the per-device
     post-burn-in time averages, ``v_theta``/``v_c`` the client-drift
     statistics measured at the top of each round from the current particles
-    and realized stochastic gradients.
+    and realized stochastic gradients.  ``beta``, ``alpha`` and ``power_use``
+    are (replicates, rounds): the residual channel noise power, the common
+    gain and the largest ||x_k||^2 / P of each wireless aggregation round,
+    NaN on every other round.
     """
 
     config: RunConfig
@@ -156,24 +188,13 @@ class RunResult:
     theta_final: np.ndarray
     v_theta: np.ndarray
     v_c: np.ndarray
-    channel_rounds: list
+    beta: np.ndarray
+    alpha: np.ndarray
+    power_use: np.ndarray
     final_agg_forced: bool
     device_traj: np.ndarray | None = None
     stored_iterations: np.ndarray | None = None
     batch_indices: list | None = None
-
-    def beta_by_round(self, replicate: int) -> np.ndarray:
-        """Residual channel noise power per round (zero on non-wireless rounds)."""
-        out = np.zeros(self.config.s_total)
-        for rec in self.channel_rounds[replicate]:
-            out[rec.iteration] = rec.beta
-        return out
-
-    def alpha_by_round(self, replicate: int) -> np.ndarray:
-        out = np.full(self.config.s_total, np.nan)
-        for rec in self.channel_rounds[replicate]:
-            out[rec.iteration] = rec.alpha
-        return out
 
 
 # ------------------------------------------------------------- internals --- #
@@ -183,11 +204,10 @@ class RunResult:
 class _DeviceGroup:
     """Devices with equal shard size, stacked for vectorized gradient math."""
 
-    members: np.ndarray          # device indices, ascending
-    U: np.ndarray                # (g, d, n_k)
-    v: np.ndarray                # (g, n_k)
+    devices: slice               # a contiguous range of device indices
     n: int
     m: int
+    samples: np.ndarray | None   # (g * n, d + 1): rows [u_i, v_i], device-major; None at full batch
     hessian: np.ndarray          # (g, d, d): U U^T + I/K, full-batch fast path
     lin: np.ndarray              # (g, d): U v
 
@@ -200,174 +220,240 @@ def _build_groups(shards, k_total: int, p_b: float) -> list[_DeviceGroup]:
     d = shards[0].dim
     eye = np.eye(d)
     for n, members in sorted(by_size.items()):
+        # partition_even gives the larger shards to the first devices, so the
+        # devices of one shard size form a contiguous range
         U = np.stack([shards[k].covariates for k in members])
         v = np.stack([shards[k].targets for k in members])
         hess = np.einsum("gdn,gen->gde", U, U) + eye / k_total
         lin = np.einsum("gdn,gn->gd", U, v)
-        groups.append(_DeviceGroup(members=np.array(members), U=U, v=v, n=n,
-                                   m=batch_size(p_b, n), hessian=hess, lin=lin))
+        m = batch_size(p_b, n)
+        samples = None
+        if m < n:
+            samples = np.concatenate([U.transpose(0, 2, 1), v[..., None]], axis=2).reshape(-1, d + 1)
+        groups.append(_DeviceGroup(devices=slice(members[0], members[-1] + 1), n=n, m=m,
+                                   samples=samples, hessian=hess, lin=lin))
     return groups
 
 
-def _group_batches(group: _DeviceGroup, streams, s_total: int, p_b: float):
-    """Pre-draw every member's batch indices for the whole run.
+class _Tape:
+    """Every random draw of one block of replicates, a window of rounds at a time.
 
-    Drawing a device's (s_total, n) key block in one call consumes its batch
-    stream exactly as s_total sequential per-round draws would, so the
-    realized batches match a round-by-round reference implementation.
+    The constructor derives each replicate's streams and draws its round
+    flags for the whole run.  ``fill(s0, s1)`` then draws rounds [s0, s1) of
+    every other stream, laid out round-major for the recurrence:
+
+    * ``batch[g]``  (w, B, g, m) rows of group g's sample table picked by the
+      mini-batches (None at full batch);
+    * ``step_noise`` (w, B, K, d) Langevin increments sqrt(2 eta) xi_k, zero
+      where a round injects none (None for WFedAvg);
+    * ``gains`` (w, B, K), ``noise`` (w, B, d) and ``restore`` (w, B, d):
+      channel gains, the receiver's standard-normal block and, for noiseless
+      WFALD, the block that restores the Langevin noise, on wireless rounds.
     """
-    if group.m >= group.n:
-        return None
-    idx = np.empty((len(group.members), s_total, group.m), dtype=np.intp)
-    for j, k in enumerate(group.members):
-        keys = streams.batch[k].random((s_total, group.n))
-        idx[j] = np.argpartition(keys, group.m, axis=1)[:, :group.m]
-    return idx
 
+    def __init__(self, config: RunConfig, chan: ChannelConfig, groups, first: int,
+                 count: int, force_final: bool, batch_out: list | None):
+        self.config, self.chan, self.groups = config, chan, groups
+        self.replicates = range(first, first + count)
+        self.streams = [_rng.run_streams(config.master_seed, r, config.k, config.seed_path)
+                        for r in self.replicates]
+        self.flags = np.stack([st.flags.random(config.s_total) < config.p_c
+                               for st in self.streams])
+        if force_final:
+            self.flags[:, -1] = True
+        self.wireless = config.algorithm in ("WFALD", "WFedAvg")
+        self.langevin = config.algorithm in ("WFALD", "FALD", "SGLD")
+        self.restoring = config.algorithm == "WFALD" and chan.noise_level == 0.0
+        self.batch_out = batch_out
 
-def _group_grads(group: _DeviceGroup, idx, thetas_g: np.ndarray, s: int,
-                 p_b: float, k_total: int) -> np.ndarray:
-    if idx is None:
-        # the prior term sits inside the precomputed per-device hessian
-        return np.einsum("gde,ge->gd", group.hessian, thetas_g) - group.lin
-    cols = idx[:, s, :]
-    Ub = np.take_along_axis(group.U, cols[:, None, :], axis=2)
-    vb = np.take_along_axis(group.v, cols, axis=1)
-    resid = np.einsum("gdm,gd->gm", Ub, thetas_g) - vb
-    return np.einsum("gdm,gm->gd", Ub, resid) / p_b + thetas_g / k_total
+    def fill(self, s0: int, s1: int) -> None:
+        cfg = self.config
+        K, d, w, B = cfg.k, cfg.dim, s1 - s0, len(self.streams)
+        agg = self.flags[:, s0:s1]
+        over_air = agg if self.wireless else np.zeros_like(agg)
 
+        self.batch = []
+        for gi, g in enumerate(self.groups):
+            if g.samples is None:
+                self.batch.append(None)
+                continue
+            size = g.devices.stop - g.devices.start
+            rows = np.empty((w, B, size, g.m), dtype=np.intp)
+            keys = np.empty((size, w, g.n))
+            first_row = (np.arange(size) * g.n)[:, None]
+            for b, st in enumerate(self.streams):
+                for j, k in enumerate(range(g.devices.start, g.devices.stop)):
+                    st.batch[k].random(out=keys[j])
+                chosen = np.argpartition(keys, g.m, axis=2)[:, :, :g.m]
+                if self.batch_out is not None:
+                    self.batch_out[self.replicates[b]][gi][:, s0:s1] = chosen
+                np.add(chosen.transpose(1, 0, 2), first_row, out=rows[:, b])
+            self.batch.append(rows)
 
-def _replicate(config: RunConfig, data: Dataset, groups, A_global, b_global,
-               chan: ChannelConfig, streams: _rng.RunStreams):
-    """Run one replicate with explicit streams; returns per-replicate records."""
-    algo = config.algorithm
-    S, K, d = config.s_total, config.k, config.dim
-    eta, p_b, p_c = config.eta, config.p_b, config.p_c
-    wireless = algo in ("WFALD", "WFedAvg")
-    langevin = algo in ("WFALD", "FALD", "SGLD")
-    noise_target = 2.0 * eta / K
-
-    force_final = config.force_final_agg
-    if force_final is None:
-        force_final = algo == "WFedAvg"
-
-    flags = streams.flags.random(S) < p_c
-    if force_final:
-        flags[-1] = True
-
-    batch_idx = [_group_batches(g, streams, S, p_b) for g in groups]
-
-    keep_dev = config.store_device_trajectories
-    stride = config.thin_stride
-    stored = None
-    if keep_dev:
-        stored = sorted(set(range(0, S + 1, stride)) | {S})
-        dev_traj = np.empty((len(stored), K, d))
-        stored_pos = {it: i for i, it in enumerate(stored)}
-
-    thetas = np.zeros((K, d))
-    avg_traj = np.empty((S + 1, d))
-    avg_traj[0] = 0.0
-    if keep_dev:
-        dev_traj[0] = 0.0
-    v_theta = np.empty(S)
-    v_c = np.empty(S)
-    mean_acc = np.zeros((K, d))
-    chan_log = []
-    grads = np.empty((K, d))
-    sqrt2eta = np.sqrt(2.0 * eta)
-
-    for s in range(S):
-        avg = thetas.mean(axis=0)
-        for g, idx in zip(groups, batch_idx):
-            grads[g.members] = _group_grads(g, idx, thetas[g.members], s, p_b, K)
-        # dispersion measured relative to particle 0 so bitwise-equal
-        # particles (the state right after an aggregation) give exactly 0
-        dev = thetas - thetas[0]
-        dev -= dev.mean(axis=0)
-        v_theta[s] = float(np.mean(np.sum(dev * dev, axis=1)))
-        diff = (A_global @ avg - b_global) - grads.sum(axis=0)
-        v_c[s] = float(diff @ diff)
-
-        agg = bool(flags[s])
-        if wireless and agg:
-            payloads = thetas - eta * grads
-            gains = chan.draw_gains(K, streams.gains)
-            if gains.min() < 1e-6 * np.median(gains):
-                raise ProtocolError(
-                    f"near-zero channel gain {gains.min():.3e} at round {s}; "
-                    "inversion power control would explode")
-            if algo == "WFALD":
-                alpha = power_gain(payloads, gains, chan.power, chan.noise_level, eta, K)
+        self.step_noise = None
+        if self.langevin:
+            if cfg.tau_override is not None:
+                tau = np.full(agg.shape, cfg.tau_override)
             else:
-                alpha = inversion_power_gain(payloads, gains, chan.power)
-            signals = (alpha / gains)[:, None] * payloads
-            ok = check_power(signals, chan.power)
-            if not ok.all():
-                bad = int(np.argmin(ok))
-                raise ProtocolError(
-                    f"transmit power violated by device {bad} at round {s}: "
-                    f"||x||^2 = {float(np.sum(signals[bad]**2)):.6g} > {chan.power}")
-            y, z = noma_superpose(signals, gains, streams.channel, chan.noise_level)
-            received = receive_aggregate(y, alpha, K)
-            if algo == "WFALD" and chan.noise_level == 0.0:
-                # a noiseless channel cannot supply the Langevin noise the
-                # receiver normally repurposes; restore it at full strength
-                received = received + np.sqrt(noise_target) * streams.channel.standard_normal(d)
-            chan_log.append(ChannelRound(
-                iteration=s, gains=gains, noise=z, alpha=alpha,
-                beta=residual_noise_power(alpha, chan.noise_level, eta, K),
-                payload_norms=np.linalg.norm(payloads, axis=1)))
-            thetas[:] = received
-        else:
-            if langevin:
-                if algo == "FALD" and config.tau_override is not None:
-                    tau = config.tau_override
-                else:
-                    tau = 1.0 if agg else 0.0
-                xi = np.zeros((K, d))
-                if tau > 0.0:
-                    xi += np.sqrt(tau / K) * streams.common.standard_normal(d)
-                if tau < 1.0:
-                    priv = np.empty((K, d))
+                tau = agg.astype(float)
+            private = ~over_air & (tau < 1.0)
+            shared = ~over_air & (tau > 0.0)
+            xi = np.zeros((w, B, K, d))
+            common = np.zeros((w, B, d))
+            for b, st in enumerate(self.streams):
+                rounds = np.flatnonzero(private[b])
+                if rounds.size:
+                    z = np.empty((K, rounds.size, d))
                     for k in range(K):
-                        priv[k] = streams.noise[k].standard_normal(d)
-                    xi += np.sqrt(1.0 - tau) * priv
-                tilde = thetas - eta * grads + sqrt2eta * xi
-            else:
-                tilde = thetas - eta * grads
-            if agg:
-                thetas[:] = tilde.mean(axis=0)
-            else:
-                thetas = tilde
+                        st.noise[k].standard_normal(out=z[k])
+                    xi[rounds, b] = z.transpose(1, 0, 2)
+                rounds = np.flatnonzero(shared[b])
+                if rounds.size:
+                    common[rounds, b] = st.common.standard_normal((rounds.size, d))
+            xi *= np.sqrt(1.0 - tau).T[:, :, None, None]
+            xi += (np.sqrt(tau / K).T[:, :, None] * common)[:, :, None, :]
+            xi *= np.sqrt(2.0 * cfg.eta)
+            self.step_noise = xi
 
-        if not np.isfinite(thetas).all():
-            bad = int(np.argmax(~np.isfinite(thetas).all(axis=1)))
-            raise ProtocolError(f"non-finite particle on device {bad} at iteration {s + 1}; "
-                                "the step size is likely too large for this problem")
+        if self.wireless:
+            self.gains = np.ones((w, B, K))
+            self.noise = np.zeros((w, B, d))
+            self.restore = np.zeros((w, B, d)) if self.restoring else None
+            blocks = 2 if self.restoring else 1
+            for b, st in enumerate(self.streams):
+                rounds = np.flatnonzero(over_air[b])
+                if rounds.size:
+                    self.gains[rounds, b] = self.chan.draw_gains((rounds.size, K), st.gains)
+                    draws = st.channel.standard_normal((rounds.size, blocks, d))
+                    self.noise[rounds, b] = draws[:, 0]
+                    if self.restoring:
+                        self.restore[rounds, b] = draws[:, 1]
 
-        avg_traj[s + 1] = thetas.mean(axis=0)
-        if s + 1 > config.s_burn:
-            mean_acc += thetas
-        if keep_dev and (s + 1) in stored_pos:
-            dev_traj[stored_pos[s + 1]] = thetas
 
-    out = {
-        "flags": flags,
-        "avg_traj": avg_traj,
-        "device_mean": mean_acc / config.s_use,
-        "theta_final": thetas.copy(),
-        "v_theta": v_theta,
-        "v_c": v_c,
-        "channel": chan_log,
-        "final_agg_forced": force_final,
-    }
-    if keep_dev:
-        out["device_traj"] = dev_traj
-        out["stored"] = np.array(stored)
-    if config.store_batch_indices:
-        out["batches"] = batch_idx
-    return out
+def _over_the_air(config: RunConfig, chan: ChannelConfig, tape: _Tape, i: int, s: int,
+                  sel, payloads: np.ndarray, out: RunResult, reps: np.ndarray, failures: list):
+    """One wireless aggregation round for the replicates ``sel`` of a block.
+
+    Returns the received aggregates (b, d) and records alpha, beta and the
+    largest ||x_k||^2 / P of each replicate.  Failed checks go to ``failures``.
+    """
+    K, eta, power = config.k, config.eta, chan.power
+    gains = tape.gains[i][sel]
+    tiny = gains.min(axis=1) < 1e-6 * np.median(gains, axis=1)
+    if tiny.any():
+        b = int(np.argmax(tiny))
+        k = int(np.argmin(gains[b]))
+        failures.append((reps[b], 0, f"near-zero channel gain {gains[b, k]:.3e} on device {k} "
+                         f"at round {s} of replicate {reps[b]}; "
+                         "inversion power control would explode"))
+    if config.algorithm == "WFALD":
+        alpha = power_gain(payloads, gains, power, chan.noise_level, eta, K)
+    else:
+        alpha = inversion_power_gain(payloads, gains, power)
+    signals = (alpha[:, None] / gains)[..., None] * payloads
+    ok = check_power(signals, power)
+    sq = np.sum(signals * signals, axis=2)
+    if not ok.all():
+        b = int(np.argmin(ok.all(axis=1)))
+        k = int(np.argmin(ok[b]))
+        failures.append((reps[b], 1, f"transmit power violated by device {k} at round {s} "
+                         f"of replicate {reps[b]}: ||x||^2 = {sq[b, k]:.6g} > {power}"))
+    y, _ = noma_superpose(signals, gains, tape.noise[i][sel], chan.noise_level)
+    received = receive_aggregate(y, alpha, K)
+    if tape.restoring:
+        # a noiseless channel cannot supply the Langevin noise the receiver
+        # normally repurposes; restore it at full strength
+        received = received + np.sqrt(2.0 * eta / K) * tape.restore[i][sel]
+    out.alpha[reps, s] = alpha
+    out.beta[reps, s] = residual_noise_power(alpha, chan.noise_level, eta, K)
+    out.power_use[reps, s] = sq.max(axis=1) / power
+    return received
+
+
+def _advance(config: RunConfig, chan: ChannelConfig, groups, A_global, b_global,
+             tape: _Tape, stop: int, out: RunResult, stored_pos: dict):
+    """Run a tape's block of replicates through rounds [0, stop).
+
+    Writes the block's rows of ``out``.  Returns None, or (round, message) of
+    the earliest failing round, naming its lowest failing replicate.
+    """
+    S, K, d = config.s_total, config.k, config.dim
+    eta, p_b = config.eta, config.p_b
+    first = tape.replicates.start
+    B = len(tape.replicates)
+    block = np.arange(first, first + B)
+    rows = slice(first, first + B)
+    avg_traj, v_theta, v_c = out.avg_traj[rows], out.v_theta[rows], out.v_c[rows]
+
+    thetas = np.zeros((B, K, d))
+    avg = np.zeros((B, d))
+    mean_acc = np.zeros((B, K, d))
+    single = len(groups) == 1
+    grads = None if single else np.empty((B, K, d))
+
+    for s0 in range(0, stop, TAPE_WINDOW):
+        s1 = min(stop, s0 + TAPE_WINDOW)
+        tape.fill(s0, s1)
+        agg_by_round = tape.flags[:, s0:s1].T
+        any_agg = agg_by_round.any(axis=1).tolist()
+        all_agg = agg_by_round.all(axis=1).tolist()
+        for i, s in enumerate(range(s0, s1)):
+            for g, batch in zip(groups, tape.batch):
+                th = thetas if single else thetas[:, g.devices]
+                if batch is None:
+                    # the prior term sits inside the precomputed per-device hessian
+                    gr = np.einsum("gde,bge->bgd", g.hessian, th) - g.lin
+                else:
+                    picked = g.samples.take(batch[i], axis=0)
+                    Ub = picked[..., :d]
+                    resid = np.einsum("bgmd,bgd->bgm", Ub, th) - picked[..., d]
+                    gr = np.einsum("bgmd,bgm->bgd", Ub, resid) / p_b + th / K
+                if single:
+                    grads = gr
+                else:
+                    grads[:, g.devices] = gr
+            # dispersion measured relative to particle 0 so bitwise-equal
+            # particles (the state right after an aggregation) give exactly 0
+            dev = thetas - thetas[:, :1]
+            dev -= dev.sum(axis=1, keepdims=True) / K
+            v_theta[:, s] = (dev * dev).sum(axis=2).sum(axis=1) / K
+            diff = (np.einsum("de,be->bd", A_global, avg) - b_global) - grads.sum(axis=1)
+            v_c[:, s] = np.einsum("bd,bd->b", diff, diff)
+
+            step = thetas - eta * grads
+            new = step if tape.step_noise is None else step + tape.step_noise[i]
+            failures = []
+            if any_agg[i]:
+                sel = slice(None) if all_agg[i] else np.flatnonzero(agg_by_round[i])
+                if tape.wireless:
+                    new[sel] = _over_the_air(config, chan, tape, i, s, sel, step[sel], out,
+                                             block[sel], failures)[:, None, :]
+                else:
+                    new[sel] = new[sel].sum(axis=1, keepdims=True) / K
+            avg = new.sum(axis=1) / K
+            if not np.isfinite(avg).all():
+                bad = ~np.isfinite(new).all(axis=2)
+                if bad.any():
+                    b = int(np.argmax(bad.any(axis=1)))
+                    failures.append((block[b], 2, f"non-finite particle on device "
+                                     f"{int(np.argmax(bad[b]))} at round {s} of replicate "
+                                     f"{block[b]}; the step size is likely too large for "
+                                     "this problem"))
+            if failures:
+                return s, min(failures)[2]
+
+            thetas = new
+            avg_traj[:, s + 1] = avg
+            if s + 1 > config.s_burn:
+                mean_acc += thetas
+            pos = stored_pos.get(s + 1)
+            if pos is not None:
+                out.device_traj[rows, pos] = thetas
+
+    out.flags[rows] = tape.flags
+    out.device_mean[rows] = mean_acc / config.s_use
+    out.theta_final[rows] = thetas
+    return None
 
 
 def _run(config: RunConfig, data: Dataset) -> RunResult:
@@ -389,30 +475,52 @@ def _run(config: RunConfig, data: Dataset) -> RunResult:
         radius = 5.0 * float(np.sqrt(np.linalg.eigvalsh(posterior.covariance)[-1]))
     constants = measure_constants(shards, config.k, radius, config.p_b)
 
-    reps = []
-    for r in range(config.replicates):
-        streams = _rng.run_streams(config.master_seed, r, config.k, config.seed_path)
-        reps.append(_replicate(config, data, groups, A_global, b_global, chan, streams))
-
-    R = config.replicates
+    R, S, K, d = config.replicates, config.s_total, config.k, config.dim
+    force_final = config.force_final_agg
+    if force_final is None:
+        force_final = config.algorithm == "WFedAvg"
     result = RunResult(
-        config=config,
-        constants=constants,
-        region_radius=radius,
-        flags=np.stack([r["flags"] for r in reps]),
-        avg_traj=np.stack([r["avg_traj"] for r in reps]),
-        device_mean=np.stack([r["device_mean"] for r in reps]),
-        theta_final=np.stack([r["theta_final"] for r in reps]),
-        v_theta=np.stack([r["v_theta"] for r in reps]),
-        v_c=np.stack([r["v_c"] for r in reps]),
-        channel_rounds=[r["channel"] for r in reps],
-        final_agg_forced=reps[0]["final_agg_forced"],
+        config=config, constants=constants, region_radius=radius,
+        flags=np.empty((R, S), dtype=bool),
+        avg_traj=np.zeros((R, S + 1, d)),
+        device_mean=np.empty((R, K, d)),
+        theta_final=np.empty((R, K, d)),
+        v_theta=np.empty((R, S)),
+        v_c=np.empty((R, S)),
+        beta=np.full((R, S), np.nan),
+        alpha=np.full((R, S), np.nan),
+        power_use=np.full((R, S), np.nan),
+        final_agg_forced=force_final,
     )
+    stored_pos = {}
     if config.store_device_trajectories:
-        result.device_traj = np.stack([r["device_traj"] for r in reps])
-        result.stored_iterations = reps[0]["stored"]
+        stored = sorted(set(range(0, S + 1, config.thin_stride)) | {S})
+        stored_pos = {it: i for i, it in enumerate(stored) if it > 0}
+        result.stored_iterations = np.array(stored)
+        result.device_traj = np.zeros((R, len(stored), K, d))
     if config.store_batch_indices:
-        result.batch_indices = [r["batches"] for r in reps]
+        result.batch_indices = [
+            [None if g.samples is None
+             else np.empty((g.devices.stop - g.devices.start, S, g.m), dtype=np.intp)
+             for g in groups]
+            for _ in range(R)]
+
+    # balanced blocks; a failure found in one block limits later blocks to
+    # earlier rounds, since their replicates rank after it within a round
+    n_blocks = -(-R // REPLICATE_BLOCK)
+    edges = [R * j // n_blocks for j in range(n_blocks + 1)]
+    failure, stop = None, S
+    for first, end in zip(edges[:-1], edges[1:]):
+        tape = _Tape(config, chan, groups, first, end - first, force_final,
+                     result.batch_indices)
+        found = _advance(config, chan, groups, A_global, b_global, tape, stop, result,
+                         stored_pos)
+        if found is not None:
+            stop, failure = found
+            if stop == 0:
+                break
+    if failure is not None:
+        raise ProtocolError(failure)
     return result
 
 

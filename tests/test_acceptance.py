@@ -132,8 +132,8 @@ def test_03_noiseless_channel_reproduces_exact_averaging(bench):
     # noise sits exactly on the Langevin target and the residual vanishes
     slack = run(dataclasses.replace(base, algorithm="WFALD", snr_db=20.0,
                                     power=1e6, replicates=3), data)
-    betas = np.concatenate([slack.beta_by_round(r) for r in range(3)])
-    assert (betas == 0.0).all()
+    betas = slack.beta[~np.isnan(slack.beta)]
+    assert betas.size > 0 and (betas == 0.0).all()
     elapsed = time.time() - t0
     print(f"criterion 3: worst moment z {worst:.2f} (<4) over {reps} replicates, "
           f"residual power identically 0 under slack constraint ({elapsed:.0f}s)")
@@ -274,13 +274,13 @@ def test_09_transmit_power_respected_on_every_wireless_round(bench):
                     base, algorithm=algorithm, snr_db=snr, p_c=0.8,
                     gain_model=gain_model, replicates=10)
                 result = run(cfg, data)
-                for r in range(cfg.replicates):
-                    for rec in result.channel_rounds[r]:
-                        norms_sq = (rec.alpha / rec.gains * rec.payload_norms) ** 2
-                        assert (norms_sq <= cfg.power * (1.0 + 1e-9)).all(), (
-                            f"{algorithm} snr={snr} {gain_model} round "
-                            f"{rec.iteration}: ||x||^2 = {norms_sq.max():.6g}")
-                        total += len(norms_sq)
+                # power_use is each wireless round's largest ||x_k||^2 / P
+                wireless = ~np.isnan(result.power_use)
+                worst = result.power_use[wireless]
+                assert (worst <= 1.0 + 1e-9).all(), (
+                    f"{algorithm} snr={snr} {gain_model}: "
+                    f"||x||^2 = {worst.max() * cfg.power:.6g}")
+                total += cfg.k * int(wireless.sum())
     assert total > 10_000
     elapsed = time.time() - t0
     print(f"criterion 9: power constraint verified on {total} device "

@@ -130,31 +130,60 @@ class TestSuperposition:
         signals = np.array([[1.0, 2.0], [3.0, -1.0]])
         gains = np.array([2.0, 0.5])
         n0 = 0.09
-        y, z = noma_superpose(signals, gains, np.random.default_rng(42), n0)
+        draw = np.random.default_rng(42).standard_normal(2)
+        y, z = noma_superpose(signals, gains, draw, n0)
         z_expect = np.sqrt(n0) * np.random.default_rng(42).standard_normal(2)
         assert np.array_equal(z, z_expect)
         assert np.allclose(y, gains @ signals + z_expect, rtol=1e-15)
 
     def test_noiseless_round_still_consumes_the_stream(self):
+        """The noise block is an input: a noiseless channel takes it and adds zero."""
         signals = np.ones((2, 3))
         gains = np.ones(2)
-        rng = np.random.default_rng(5)
-        y, z = noma_superpose(signals, gains, rng, 0.0)
+        draw = np.random.default_rng(5).standard_normal(3)
+        y, z = noma_superpose(signals, gains, draw, 0.0)
         assert np.array_equal(z, np.zeros(3))
-        # the generator advanced by exactly one block of 3 standard normals
-        ref = np.random.default_rng(5)
-        ref.standard_normal(3)
-        assert rng.standard_normal() == ref.standard_normal()
+        assert np.array_equal(y, gains @ signals)
 
     def test_rejects_flat_signal_array(self):
         with pytest.raises(ValueError):
-            noma_superpose(np.ones(4), np.ones(4), np.random.default_rng(0), 0.0)
+            noma_superpose(np.ones(4), np.ones(4), np.zeros(4), 0.0)
 
     def test_noise_variance_matches_level(self):
         n0 = 0.37
         signals = np.zeros((2, 200_000))
-        _, z = noma_superpose(signals, np.ones(2), np.random.default_rng(3), n0)
+        draw = np.random.default_rng(3).standard_normal(200_000)
+        _, z = noma_superpose(signals, np.ones(2), draw, n0)
         assert np.var(z) == pytest.approx(n0, rel=0.03)
+
+
+def test_leading_replicate_axis_matches_per_replicate_calls():
+    rng = np.random.default_rng(11)
+    payloads = rng.normal(size=(6, 4, 3))
+    payloads[2, 1] = 0.0                    # an inactive device
+    payloads[3] = 0.0                       # a replicate with no active device
+    gains = rng.uniform(0.2, 3.0, size=(6, 4))
+    noise = rng.standard_normal((6, 3))
+    power, n0, eta, k = 2.0, 0.4, 1e-2, 4
+
+    alpha = power_gain(payloads, gains, power, n0, eta, k)
+    inv = inversion_power_gain(payloads, gains, power)
+    signals = (alpha[:, None] / gains)[..., None] * payloads
+    y, z = noma_superpose(signals, gains, noise, n0)
+    received = receive_aggregate(y, alpha, k)
+    beta = residual_noise_power(alpha, n0, eta, k)
+    assert alpha.shape == inv.shape == beta.shape == (6,)
+    assert check_power(signals, power).shape == (6, 4)
+    for r in range(6):
+        assert alpha[r] == power_gain(payloads[r], gains[r], power, n0, eta, k)
+        assert inv[r] == inversion_power_gain(payloads[r], gains[r], power)
+        assert np.array_equal(check_power(signals[r], power), check_power(signals, power)[r])
+        y_r, z_r = noma_superpose(signals[r], gains[r], noise[r], n0)
+        np.testing.assert_allclose(y[r], y_r, rtol=1e-14)
+        assert np.array_equal(z[r], z_r)
+        np.testing.assert_allclose(received[r], receive_aggregate(y_r, alpha[r], k), rtol=1e-14)
+        assert beta[r] == residual_noise_power(alpha[r], n0, eta, k)
+    assert inv[3] == 1.0
 
 
 def test_check_power_boundary():
@@ -175,6 +204,11 @@ def test_draw_gains_models():
     got = ray.draw_gains(6, np.random.default_rng(9))
     expect = np.random.default_rng(9).rayleigh(2 ** -0.5, 6)
     assert np.array_equal(got, expect)
+    # a (rounds, K) block consumes the stream like one K-gain draw per round
+    block_rng, round_rng = np.random.default_rng(4), np.random.default_rng(4)
+    block = ray.draw_gains((5, 3), block_rng)
+    assert np.array_equal(block, np.stack([ray.draw_gains(3, round_rng) for _ in range(5)]))
+    assert block_rng.random() == round_rng.random()
     # scale 1/sqrt(2) gives unit mean-square gain
     big = ray.draw_gains(200_000, np.random.default_rng(1))
     assert np.mean(big ** 2) == pytest.approx(1.0, rel=0.02)

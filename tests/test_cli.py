@@ -18,6 +18,7 @@ def test_run_writes_summaries(tmp_path):
     assert code == 0
     payload = json.loads((out / "summary.json").read_text())
     assert payload["config"]["algorithm"] == "WFALD"
+    assert payload["bound_note"] is None
     assert payload["config"]["theta_star"] == [1.0, -2.0]
     assert payload["summary"]["mse_mean"] > 0
     assert payload["constants"]["smoothness"] >= payload["constants"]["strong_convexity"]
@@ -61,6 +62,20 @@ def test_divergence_exits_with_protocol_failure(tmp_path, capsys):
                      "--output", str(tmp_path / "x")])
     assert code == 2
     assert "protocol failure" in capsys.readouterr().err
+
+
+def test_step_beyond_contraction_range_skips_the_bound(tmp_path, capsys):
+    """k=1 puts the whole dataset on one device, so eta > 2/L at the default step."""
+    out = tmp_path / "run_out"
+    code = main(["run", "--set", "k=1", "--set", "s_total=12", "--set", "s_burn=4",
+                 "--output", str(out)])
+    err = capsys.readouterr().err
+    assert code == 0
+    assert "Traceback" not in err
+    payload = json.loads((out / "summary.json").read_text())
+    assert np.isnan(payload["summary"]["bound_final_mean"])
+    assert "exceeds 2/smoothness" in payload["bound_note"]
+    assert "\n" not in payload["bound_note"]
 
 
 def test_sweep_then_plotdata(tmp_path, capsys):

@@ -55,20 +55,8 @@ def case_config(name: str) -> RunConfig:
     return RunConfig(**{**BASE, **CASES[name]})
 
 
-def channel_arrays(result):
-    """(R, S) beta, alpha and power use, NaN on rounds that are not wireless."""
-    cfg = result.config
-    arrays = np.full((3, cfg.replicates, cfg.s_total), np.nan)
-    for r, rounds in enumerate(result.channel_rounds):
-        for rec in rounds:
-            use = np.max((rec.alpha / rec.gains * rec.payload_norms) ** 2) / cfg.power
-            arrays[:, r, rec.iteration] = rec.beta, rec.alpha, use
-    return arrays
-
-
 def outputs(result) -> dict:
     """Every pinned output of a run as named arrays."""
-    beta, alpha, power_use = channel_arrays(result)
     out = {
         "flags": result.flags,
         "avg_traj": result.avg_traj,
@@ -76,9 +64,9 @@ def outputs(result) -> dict:
         "theta_final": result.theta_final,
         "v_theta": result.v_theta,
         "v_c": result.v_c,
-        "beta": beta,
-        "alpha": alpha,
-        "power_use": power_use,
+        "beta": result.beta,
+        "alpha": result.alpha,
+        "power_use": result.power_use,
     }
     for r, groups in enumerate(result.batch_indices):
         for g, idx in enumerate(groups):
