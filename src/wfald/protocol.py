@@ -377,7 +377,7 @@ def _advance(config: RunConfig, chan: ChannelConfig, groups, A_global, b_global,
     Writes the block's rows of ``out``.  Returns None, or (round, message) of
     the earliest failing round, naming its lowest failing replicate.
     """
-    S, K, d = config.s_total, config.k, config.dim
+    K, d = config.k, config.dim
     eta, p_b = config.eta, config.p_b
     first = tape.replicates.start
     B = len(tape.replicates)
