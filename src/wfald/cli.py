@@ -92,7 +92,7 @@ def _cmd_run(args) -> int:
     print(f"posterior-mean MSE {summary['mse_mean']:.6g} (se {summary['mse_se']:.3g})")
     if not np.isnan(summary["bound_final_mean"]):
         print(f"convergence bound at final round {summary['bound_final_mean']:.6g}")
-    elif config.algorithm in ("WFALD", "FALD"):
+    else:
         print(f"convergence bound not evaluated: {bound_note}")
     print(f"wrote {os.path.join(args.output, 'summary.json')} and iterations.csv")
     return 0

@@ -350,13 +350,22 @@ def _over_the_air(config: RunConfig, chan: ChannelConfig, tape: _Tape, i: int, s
         alpha = power_gain(payloads, gains, power, chan.noise_level, eta, K)
     else:
         alpha = inversion_power_gain(payloads, gains, power)
+    collapsed = ~(alpha > 0)
+    if collapsed.any():
+        # a payload norm overflowed, so no positive gain keeps it in budget
+        b = int(np.argmax(collapsed))
+        k = int(np.argmax(np.linalg.norm(payloads[b], axis=-1)))
+        failures.append((reps[b], 1, f"common gain collapsed to {alpha[b]:.3g} by device {k} "
+                         f"at round {s} of replicate {reps[b]}; the step size is likely "
+                         "too large for this problem"))
+        alpha = np.where(collapsed, 1.0, alpha)
     signals = (alpha[:, None] / gains)[..., None] * payloads
     ok = check_power(signals, power)
     sq = np.sum(signals * signals, axis=2)
     if not ok.all():
         b = int(np.argmin(ok.all(axis=1)))
         k = int(np.argmin(ok[b]))
-        failures.append((reps[b], 1, f"transmit power violated by device {k} at round {s} "
+        failures.append((reps[b], 2, f"transmit power violated by device {k} at round {s} "
                          f"of replicate {reps[b]}: ||x||^2 = {sq[b, k]:.6g} > {power}"))
     y, _ = noma_superpose(signals, gains, tape.noise[i][sel], chan.noise_level)
     received = receive_aggregate(y, alpha, K)
@@ -435,7 +444,7 @@ def _advance(config: RunConfig, chan: ChannelConfig, groups, A_global, b_global,
                 bad = ~np.isfinite(new).all(axis=2)
                 if bad.any():
                     b = int(np.argmax(bad.any(axis=1)))
-                    failures.append((block[b], 2, f"non-finite particle on device "
+                    failures.append((block[b], 3, f"non-finite particle on device "
                                      f"{int(np.argmax(bad[b]))} at round {s} of replicate "
                                      f"{block[b]}; the step size is likely too large for "
                                      "this problem"))

@@ -78,6 +78,16 @@ def test_step_beyond_contraction_range_skips_the_bound(tmp_path, capsys):
     assert "\n" not in payload["bound_note"]
 
 
+def test_collapsed_common_gain_is_a_protocol_failure(tmp_path, capsys):
+    """At eta=0.5 a payload norm overflows and no positive gain fits the budget."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["run", "--set", "eta=0.5", "--output", str(tmp_path / "x")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "common gain collapsed" in err
+    assert "Traceback" not in err
+
+
 def test_sweep_then_plotdata(tmp_path, capsys):
     out = tmp_path / "sweep"
     code = main(["sweep", *SMALL_ARGS, "--set", "algorithm=WFALD",

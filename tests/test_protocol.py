@@ -151,20 +151,21 @@ def test_near_zero_gain_raises(monkeypatch):
 
 @pytest.mark.parametrize("block", [1, 16])
 def test_earliest_failing_round_is_reported(monkeypatch, block):
-    """Replicate 1 fails at round 2 and replicate 0 at round 5: round 2 wins.
+    """Replicate 0 fails at round 5, replicates 1 and 2 at round 2: replicate 1 wins.
 
     With blocks of one replicate, replicate 0's failure is found first, so
-    the later block has to keep looking at the earlier rounds.
+    the later blocks have to keep looking at the earlier rounds.
     """
-    cfg = small_config(algorithm="WFALD", p_c=1.0, replicates=2, s_total=8, s_burn=2)
+    cfg = small_config(algorithm="WFALD", p_c=1.0, replicates=3, s_total=8, s_burn=2)
     data = build_dataset(cfg)
-    fail_at = {0: 5, 1: 2}
+    fail_at = {0: 5, 1: 2, 2: 2}
     draw = ChannelConfig.draw_gains
 
     def fading(self, size, rng):
         gains = draw(self, size, rng)
-        replicate = rng.bit_generator.seed_seq.spawn_key[3]
-        gains[fail_at[replicate], 1] = 1e-12
+        round_ = fail_at[rng.bit_generator.seed_seq.spawn_key[3]]
+        if round_ < size[0]:  # later blocks stop at the earliest failure found
+            gains[round_, 1] = 1e-12
         return gains
 
     monkeypatch.setattr(ChannelConfig, "draw_gains", fading)
@@ -175,13 +176,15 @@ def test_earliest_failing_round_is_reported(monkeypatch, block):
         run_wfald(cfg, data)
 
 
-@pytest.mark.parametrize("algorithm", ["WFALD", "FALD", "SGLD", "WFedAvg"])
-def test_outputs_are_bitwise_invariant_under_block_and_window(monkeypatch, algorithm):
-    cfg = small_config(algorithm=algorithm, replicates=5, n_samples=14, snr_db=5.0,
-                       gain_model="rayleigh", store_device_trajectories=True,
-                       store_batch_indices=True)
-    if algorithm == "SGLD":
-        cfg = dataclasses.replace(cfg, gain_model="constant")
+@pytest.mark.parametrize("settings", [
+    dict(algorithm="WFALD"), dict(algorithm="FALD"), dict(algorithm="SGLD"),
+    dict(algorithm="WFedAvg"), dict(algorithm="WFALD", snr_db=None),
+    dict(algorithm="FALD", tau_override=0.5),
+], ids=["WFALD", "FALD", "SGLD", "WFedAvg", "WFALD-noiseless", "FALD-tau"])
+def test_outputs_are_bitwise_invariant_under_block_and_window(monkeypatch, settings):
+    rayleigh = dict(snr_db=5.0, gain_model="rayleigh") if settings["algorithm"] != "SGLD" else {}
+    cfg = small_config(**{**rayleigh, **settings}, replicates=5, n_samples=14,
+                       store_device_trajectories=True, store_batch_indices=True)
     data = build_dataset(cfg)
     fields = ("flags", "avg_traj", "device_mean", "theta_final", "v_theta", "v_c",
               "beta", "alpha", "power_use", "device_traj")
