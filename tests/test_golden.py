@@ -1,4 +1,4 @@
-"""Golden reference: the engine's outputs on tiny configs, pinned in a fixture.
+"""Golden reference: engine outputs and run summaries on tiny configs, pinned in fixtures.
 
 ``tests/data/golden.npz`` holds the outputs of every algorithm on small
 configurations, written once by the engine these tests guard.  Integer and
@@ -6,9 +6,14 @@ boolean outputs, and the exact zeros of ``v_theta`` and ``beta``, must match
 bitwise; floating-point outputs must match to a relative tolerance of 1e-10,
 which leaves room for reassociated arithmetic and nothing else.
 
-Regenerate only on a deliberate change of behaviour:
+``tests/data/golden_summary.npz`` holds what the harness makes of such runs:
+``summarize_run``'s summary row and per-iteration table, scored on the
+held-out test sets, and the bound note.  Its cases run enough replicates for
+a defined ``w2_sq`` and include a step beyond the bound's contraction range.
 
-    PYTHONPATH=src python tests/test_golden.py
+Regenerate only on a deliberate change of behaviour, naming the fixture:
+
+    PYTHONPATH=src python tests/test_golden.py engine|summary
 """
 
 import os
@@ -17,10 +22,13 @@ import sys
 import numpy as np
 import pytest
 
-from wfald.harness import build_dataset
+from wfald.harness import (ITERATION_COLUMNS, RESULT_COLUMNS, bound_skip_reason,
+                           build_dataset, build_test_set, summarize_run)
+from wfald.model import exact_posterior
 from wfald.protocol import RunConfig, run
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "golden.npz")
+SUMMARY_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "golden_summary.npz")
 
 RTOL = 1e-10
 
@@ -49,6 +57,20 @@ CASES = {
     "wfald_noiseless": dict(algorithm="WFALD", snr_db=None),
     "fald_tau_half": dict(algorithm="FALD", tau_override=0.5),
 }
+
+
+#: every engine case, plus a step beyond 2/L (about 0.17 on this data)
+SUMMARY_CASES = {**CASES, "fald_beyond_contraction": dict(algorithm="FALD", eta=0.2)}
+
+#: R >= dim + 2, so the moment-matched W2 estimate is defined
+SUMMARY_REPLICATES = 6
+
+#: absolute floor of the summary comparison; the pinned values that are
+#: not exactly zero are all above 1e-5
+SUMMARY_ATOL = 1e-15
+
+#: summary columns that are numbers
+SUMMARY_NUMBERS = tuple(c for c in RESULT_COLUMNS if c != "algorithm")
 
 
 def case_config(name: str) -> RunConfig:
@@ -80,13 +102,38 @@ def compute(name: str) -> dict:
     return outputs(run(cfg, build_dataset(cfg)))
 
 
-def regenerate(path: str = FIXTURE) -> None:
+def compute_summary(name: str) -> dict:
+    """Summary row, iteration table and bound note of one summary case."""
+    cfg = RunConfig(**{**BASE, **SUMMARY_CASES[name], "replicates": SUMMARY_REPLICATES,
+                       "store_batch_indices": False})
+    data = build_dataset(cfg)
+    result = run(cfg, data)
+    test_u, test_v = build_test_set(result.config, data.theta_star)
+    summary, table = summarize_run(result, exact_posterior(data), test_u, test_v)
+    return {
+        "algorithm": np.array(summary["algorithm"]),
+        "bound_note": np.array(bound_skip_reason(result) or ""),
+        "summary": np.array([summary[c] for c in SUMMARY_NUMBERS], dtype=float),
+        "table": np.array([[row[c] for c in ITERATION_COLUMNS] for row in table],
+                          dtype=float),
+    }
+
+
+def regenerate(which: str) -> str:
+    path, cases, make = {"engine": (FIXTURE, CASES, compute),
+                         "summary": (SUMMARY_FIXTURE, SUMMARY_CASES, compute_summary)}[which]
     arrays = {}
-    for name in CASES:
-        for key, value in compute(name).items():
+    for name in cases:
+        for key, value in make(name).items():
             arrays[f"{name}/{key}"] = value
     os.makedirs(os.path.dirname(path), exist_ok=True)
     np.savez_compressed(path, **arrays)
+    return path
+
+
+def _by_case(fixture: dict, name: str) -> dict:
+    return {key.split("/", 1)[1]: value for key, value in fixture.items()
+            if key.split("/", 1)[0] == name}
 
 
 @pytest.fixture(scope="module")
@@ -95,11 +142,16 @@ def golden():
         return {key: f[key] for key in f.files}
 
 
+@pytest.fixture(scope="module")
+def golden_summary():
+    with np.load(SUMMARY_FIXTURE) as f:
+        return {key: f[key] for key in f.files}
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_engine_matches_golden_outputs(name, golden):
     got = compute(name)
-    want = {key.split("/", 1)[1]: value for key, value in golden.items()
-            if key.split("/", 1)[0] == name}
+    want = _by_case(golden, name)
     assert sorted(got) == sorted(want)
     for key, expected in want.items():
         actual = got[key]
@@ -120,6 +172,29 @@ def test_low_snr_fading_case_is_power_limited(golden):
     assert np.nanmax(beta) > 0.0
 
 
+@pytest.mark.parametrize("name", sorted(SUMMARY_CASES))
+def test_summaries_match_golden(name, golden_summary):
+    got = compute_summary(name)
+    want = _by_case(golden_summary, name)
+    assert sorted(got) == sorted(want)
+    assert str(got["algorithm"]) == str(want["algorithm"])
+    assert str(got["bound_note"]) == str(want["bound_note"])
+    for key in ("summary", "table"):
+        assert got[key].shape == want[key].shape, key
+        assert np.array_equal(np.isnan(got[key]), np.isnan(want[key])), key
+        np.testing.assert_allclose(got[key], want[key], rtol=RTOL, atol=SUMMARY_ATOL,
+                                   err_msg=f"{name}/{key}")
+
+
+def test_summary_cases_pin_w2_and_the_skipped_bound(golden_summary):
+    w2 = SUMMARY_NUMBERS.index("w2_sq")
+    assert all(np.isfinite(golden_summary[f"{name}/summary"][w2]) for name in SUMMARY_CASES)
+    beyond = _by_case(golden_summary, "fald_beyond_contraction")
+    assert "exceeds 2/smoothness" in str(beyond["bound_note"])
+    assert np.isnan(beyond["summary"][SUMMARY_NUMBERS.index("bound_final_mean")])
+    assert np.isnan(beyond["table"][:, ITERATION_COLUMNS.index("bound")]).all()
+
+
 if __name__ == "__main__":
-    regenerate()
-    print(f"wrote {FIXTURE}", file=sys.stderr)
+    for which in sys.argv[1:] or ["engine"]:
+        print(f"wrote {regenerate(which)}", file=sys.stderr)
