@@ -9,7 +9,7 @@ Provides
   strongly log-concave target, as a per-iteration sequence;
 * the client-drift upper bounds ``E[V_theta] <= v_theta_bound`` and
   ``E[V_c] <= K^2 L^2 E[V_theta] + K sum_k sigma_k^2``;
-* predictive-error helpers for comparing ensemble and point estimates.
+* the held-out predictive error of point estimates.
 """
 
 from __future__ import annotations
@@ -64,21 +64,6 @@ def empirical_gaussian(samples: np.ndarray) -> GaussianDist:
 # ----------------------------------------------------------- run summaries --- #
 
 
-def posterior_mean_estimate(device_mean: np.ndarray) -> np.ndarray:
-    """Posterior-mean point estimates, one per replicate.
-
-    ``device_mean`` has shape (replicates, devices, dim) holding per-device
-    post-burn-in time averages; the estimate averages over devices as well.
-    """
-    return np.asarray(device_mean).mean(axis=1)
-
-
-def squared_error(estimates: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Per-replicate squared distance ||estimate - target||^2."""
-    diff = np.atleast_2d(estimates) - target
-    return np.sum(diff * diff, axis=-1)
-
-
 def per_device_mse(device_mean: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Device-averaged squared error of the per-device posterior-mean estimates.
 
@@ -107,21 +92,6 @@ def running_mse(avg_traj: np.ndarray, s_burn: int, target: np.ndarray) -> np.nda
     est = csum / counts[None, :, None]
     err = np.sum((est - target) ** 2, axis=2)
     out[s_burn:] = err.mean(axis=0)
-    return out
-
-
-def w2_trajectory(avg_traj: np.ndarray, posterior: GaussianDist,
-                  iterations) -> np.ndarray:
-    """Empirical squared 2-Wasserstein distance to ``posterior`` at chosen rounds.
-
-    At each requested round the device-averaged particles across replicates
-    are moment-matched to a Gaussian and compared in closed form.
-    """
-    traj = np.asarray(avg_traj)
-    out = np.empty(len(iterations))
-    for i, s in enumerate(iterations):
-        fit = empirical_gaussian(traj[:, s, :])
-        out[i] = gaussian_w2_squared(fit, posterior)
     return out
 
 
@@ -259,18 +229,22 @@ def drift_bounds(constants: RegularityConstants, eta: float, p_c: float,
 # ------------------------------------------------------- predictive errors --- #
 
 
-def predictive_error(theta, test_inputs: np.ndarray, test_targets: np.ndarray) -> float:
-    """Mean squared prediction error on a held-out set.
+def predictive_error(thetas: np.ndarray, test_inputs: np.ndarray,
+                     test_targets: np.ndarray) -> np.ndarray:
+    """Device-averaged mean squared prediction error of each point estimate.
 
-    ``theta`` may be a single parameter vector or an ensemble (rows are
-    particles); an ensemble predicts with its posterior-predictive mean.
-    ``test_inputs`` has covariates in columns (shape (d, m)).
+    ``thetas`` holds one estimate per row, shape (R, d).  Device k's held-out
+    set has its covariates in the columns of ``test_inputs[k]`` (shape
+    (K, d, m) overall) and its targets in ``test_targets[k]`` (shape (K, m)).
+    Each estimate's mean squared error on every device's set is averaged over
+    the devices; returns shape (R,).
     """
-    theta = np.asarray(theta, dtype=float)
-    if theta.ndim == 2:
-        theta = theta.mean(axis=0)
-    resid = theta @ test_inputs - test_targets
-    return float(np.mean(resid * resid))
+    thetas = np.asarray(thetas, dtype=float)
+    total = np.zeros(thetas.shape[0])
+    for inputs, targets in zip(test_inputs, test_targets):
+        resid = thetas @ inputs - targets
+        total += np.mean(resid * resid, axis=1)
+    return total / len(test_inputs)
 
 
 def batch_means_se(chain: np.ndarray) -> np.ndarray:

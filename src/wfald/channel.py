@@ -99,12 +99,6 @@ class ChannelConfig:
         return rng.rayleigh(self.rayleigh_scale, size)
 
 
-def transmit_signal(theta: np.ndarray, grad: np.ndarray, eta: float,
-                    alpha_k: float) -> np.ndarray:
-    """Device transmit block: alpha_k * (theta - eta * grad)."""
-    return alpha_k * (theta - eta * grad)
-
-
 def _power_branch(payloads: np.ndarray, gains: np.ndarray, power: float) -> np.ndarray:
     """min_k sqrt(power) |h_k| / ||payload_k|| over devices with a nonzero payload.
 

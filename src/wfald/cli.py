@@ -20,12 +20,10 @@ import numpy as np
 from .channel import ProtocolError
 from .harness import (ConfigurationError, FIGURES, ITERATION_COLUMNS,
                       bound_skip_reason, build_dataset, build_run_config,
-                      build_sweep_spec, build_test_set, emit_plotdata,
-                      parse_config, plotdata_csv, run_sweep, summarize_run,
-                      write_csv)
+                      build_sweep_spec, emit_plotdata, evaluate, parse_config,
+                      plotdata_csv, run_sweep, write_csv)
 from .model import exact_posterior
 from .protocol import run
-from .rng import data_generator
 
 
 def _config_args(sub):
@@ -47,7 +45,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = subs.add_parser("sweep", help="run a parameter grid and write results.csv")
     _config_args(p_sweep)
     p_sweep.add_argument("--output", default="sweep_out", help="directory for results.csv / manifest.json")
-    p_sweep.add_argument("--workers", type=int, default=1, help="worker processes (output is worker-count independent)")
+    p_sweep.add_argument("--workers", type=int, default=1,
+                         help="worker processes, at least 1 (output is worker-count independent)")
 
     p_plot = subs.add_parser("plotdata", help="reshape results.csv into tidy plot series")
     p_plot.add_argument("--results", required=True, help="path to a sweep results.csv")
@@ -60,19 +59,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    raw = parse_config(args.config, args.overrides)
-    config = build_run_config(raw)
-    data = build_dataset(config)
-    posterior = exact_posterior(data)
-    star = config.resolve_theta_star(data_generator(config.master_seed))
-    result = run(config, data)
-    test_u, test_v = build_test_set(result.config, star)
-    summary, table = summarize_run(result, posterior, test_u, test_v)
+    config = build_run_config(parse_config(args.config, args.overrides))
+    result, summary, table = evaluate(config)
     bound_note = bound_skip_reason(result)
 
     os.makedirs(args.output, exist_ok=True)
     cfg_dict = dataclasses.asdict(result.config)
-    cfg_dict["theta_star"] = list(map(float, star))
+    cfg_dict["theta_star"] = list(map(float, result.config.theta_star))
     cfg_dict["seed_path"] = list(result.config.seed_path)
     payload = {"config": cfg_dict, "summary": summary,
                "bound_note": bound_note,
@@ -122,8 +115,6 @@ def _cmd_plotdata(args) -> int:
 
 
 def _cmd_validate() -> int:
-    import dataclasses as dc
-
     from .model import Dataset
     from .protocol import RunConfig
     from .rng import generator, seed_sequence
@@ -159,7 +150,7 @@ def _cmd_validate() -> int:
     r2 = run(cfg, data)
     report("replay determinism", np.array_equal(r1.avg_traj, r2.avg_traj))
 
-    cfg_f = dc.replace(cfg, algorithm="FALD")
+    cfg_f = dataclasses.replace(cfg, algorithm="FALD")
     r3 = run(cfg_f, data)
     same_flags = np.array_equal(r1.flags, r3.flags)
     same_batches = all(
@@ -170,8 +161,8 @@ def _cmd_validate() -> int:
     use = r1.power_use[~np.isnan(r1.power_use)]
     report("transmit power respected", use.size > 0 and bool((use <= 1 + 1e-9).all()))
 
-    hi = run(dc.replace(cfg, snr_db=60.0, store_batch_indices=False), data)
-    lo = run(dc.replace(cfg, snr_db=-10.0, store_batch_indices=False), data)
+    hi = run(dataclasses.replace(cfg, snr_db=60.0, store_batch_indices=False), data)
+    lo = run(dataclasses.replace(cfg, snr_db=-10.0, store_batch_indices=False), data)
     hi_beta = np.nanmax(hi.beta)
     lo_beta = np.nanmax(lo.beta)
     report("residual channel noise regimes", hi_beta == 0.0 and lo_beta > 0.0,

@@ -91,39 +91,47 @@ def build_test_set(config: RunConfig, theta_star: np.ndarray,
 # -------------------------------------------------------- config parsing --- #
 
 _INT_KEYS = {"k", "dim", "n_samples", "s_total", "s_burn", "master_seed",
-             "replicates", "thin_stride"}
+             "replicates", "thin_stride", "sweep.replicates"}
 _FLOAT_KEYS = {"eta", "p_c", "p_b", "power", "gain_value", "noise_std"}
 _OPT_FLOAT_KEYS = {"snr_db", "region_radius", "tau_override"}
 _BOOL_KEYS = {"store_device_trajectories", "store_batch_indices"}
 _OPT_BOOL_KEYS = {"force_final_agg"}
-_STR_KEYS = {"algorithm", "gain_model"}
-_LIST_KEYS = {"theta_star"}
-_SWEEP_KEYS = {"sweep.pc_grid", "sweep.snr_db_grid", "sweep.algorithms",
-               "sweep.replicates", "sweep.workers"}
+#: comma lists, each mapped to the key whose grammar its items follow
+_LIST_KEYS = {"theta_star": "eta", "sweep.pc_grid": "p_c", "sweep.snr_db_grid": "snr_db",
+              "sweep.algorithms": "algorithm"}
+_SWEEP_KEYS = {"sweep.pc_grid", "sweep.snr_db_grid", "sweep.algorithms", "sweep.replicates"}
 _NONE_TOKENS = {"none", "null", "noiseless"}
 
 
-def _parse_scalar(key: str, text: str):
+def _convert(key: str, text: str):
     text = text.strip()
+    if key in _INT_KEYS:
+        return int(text)
+    if key in _FLOAT_KEYS:
+        return float(text)
+    if key in _OPT_FLOAT_KEYS:
+        return None if text.lower() in _NONE_TOKENS else float(text)
+    if key in _BOOL_KEYS or key in _OPT_BOOL_KEYS:
+        low = text.lower()
+        if key in _OPT_BOOL_KEYS and low in _NONE_TOKENS:
+            return None
+        if low in ("true", "yes", "1"):
+            return True
+        if low in ("false", "no", "0"):
+            return False
+        raise ValueError(f"not a boolean: {text!r}")
+    if key in _LIST_KEYS:
+        items = tuple(_convert(_LIST_KEYS[key], t) for t in text.split(",") if t.strip())
+        if key == "theta_star":
+            # an empty vector keeps the default coefficients
+            return np.array(items) if items else None
+        return items
+    return text
+
+
+def _parse_scalar(key: str, text: str):
     try:
-        if key in _INT_KEYS:
-            return int(text)
-        if key in _FLOAT_KEYS:
-            return float(text)
-        if key in _OPT_FLOAT_KEYS:
-            return None if text.lower() in _NONE_TOKENS else float(text)
-        if key in _BOOL_KEYS or key in _OPT_BOOL_KEYS:
-            low = text.lower()
-            if key in _OPT_BOOL_KEYS and low in _NONE_TOKENS:
-                return None
-            if low in ("true", "yes", "1"):
-                return True
-            if low in ("false", "no", "0"):
-                return False
-            raise ValueError(f"not a boolean: {text!r}")
-        if key in _LIST_KEYS:
-            return np.array([float(t) for t in text.split(",") if t.strip()])
-        return text
+        return _convert(key, text)
     except ValueError as exc:
         raise ConfigurationError(f"bad value for {key}: {exc}") from None
 
@@ -193,32 +201,18 @@ class SweepSpec:
                 raise ConfigurationError(f"sweep p_c value out of range: {p}")
         if self.replicates < 1:
             raise ConfigurationError("sweep.replicates must be at least 1")
-        if not self.pc_grid or not self.snr_db_grid:
-            raise ConfigurationError("sweep grids must be non-empty")
+        if not self.pc_grid or not self.snr_db_grid or not self.algorithms:
+            raise ConfigurationError("sweep grids and sweep.algorithms must be non-empty")
 
 
 def build_sweep_spec(raw: dict) -> SweepSpec:
     base = build_run_config(raw)
-
-    def grid_floats(key, default):
-        if key not in raw:
-            return default
-        vals = []
-        for tok in raw[key].split(","):
-            tok = tok.strip()
-            if not tok:
-                continue
-            vals.append(None if tok.lower() in _NONE_TOKENS else float(tok))
-        return tuple(vals)
-
-    pc_grid = grid_floats("sweep.pc_grid", (base.p_c,))
-    snr_grid = grid_floats("sweep.snr_db_grid", (base.snr_db,))
-    if any(p is None for p in pc_grid):
-        raise ConfigurationError("sweep.pc_grid entries must be numbers")
-    algos = tuple(t.strip() for t in raw.get("sweep.algorithms", base.algorithm).split(",") if t.strip())
-    reps = int(raw["sweep.replicates"]) if "sweep.replicates" in raw else base.replicates
-    spec = SweepSpec(base=base, pc_grid=pc_grid, snr_db_grid=snr_grid,
-                     algorithms=algos, replicates=reps)
+    sweep = {key: _parse_scalar(key, text) for key, text in raw.items() if key in _SWEEP_KEYS}
+    spec = SweepSpec(base=base,
+                     pc_grid=sweep.get("sweep.pc_grid", (base.p_c,)),
+                     snr_db_grid=sweep.get("sweep.snr_db_grid", (base.snr_db,)),
+                     algorithms=sweep.get("sweep.algorithms", (base.algorithm,)),
+                     replicates=sweep.get("sweep.replicates", base.replicates))
     spec.validate()
     return spec
 
@@ -291,18 +285,11 @@ def summarize_run(result: RunResult, posterior, test_inputs=None, test_targets=N
     test_cols = dict(test_ens_mean=float("nan"), test_ens_se=float("nan"),
                      test_freq_mean=float("nan"), test_freq_se=float("nan"))
     if test_inputs is not None:
-        ens, freq = [], []
-        for r in range(R):
-            theta_ens = result.device_mean[r].mean(axis=0)
-            theta_last = result.theta_final[r].mean(axis=0)
-            per_dev_e = [predictive_error(theta_ens, test_inputs[k], test_targets[k])
-                         for k in range(cfg.k)]
-            per_dev_f = [predictive_error(theta_last, test_inputs[k], test_targets[k])
-                         for k in range(cfg.k)]
-            ens.append(np.mean(per_dev_e))
-            freq.append(np.mean(per_dev_f))
-        test_cols["test_ens_mean"], test_cols["test_ens_se"] = _mean_se(np.array(ens))
-        test_cols["test_freq_mean"], test_cols["test_freq_se"] = _mean_se(np.array(freq))
+        # the ensemble predicts with the device-averaged posterior mean, the
+        # frequentist estimate is the device-averaged final iterate
+        for name, thetas in (("test_ens", result.device_mean), ("test_freq", result.theta_final)):
+            errors = predictive_error(thetas.mean(axis=1), test_inputs, test_targets)
+            test_cols[f"{name}_mean"], test_cols[f"{name}_se"] = _mean_se(errors)
 
     summary = {
         "algorithm": cfg.algorithm,
@@ -345,6 +332,21 @@ def summarize_run(result: RunResult, posterior, test_inputs=None, test_targets=N
             "alpha": float(alpha_mean[s - 1]),
         })
     return summary, table
+
+
+def evaluate(config: RunConfig) -> tuple[RunResult, dict, list[dict]]:
+    """Run one configuration and summarize it: ``(result, summary, table)``.
+
+    The one path from a config to its summaries, for ``wfald run`` and every
+    sweep point.  The run's config records the coefficients its dataset was
+    drawn with, and the test sets follow the config the run reports (SGLD's
+    has a single device).
+    """
+    data = build_dataset(config)
+    result = run(dataclasses.replace(config, theta_star=data.theta_star), data)
+    test_u, test_v = build_test_set(result.config, data.theta_star)
+    summary, table = summarize_run(result, exact_posterior(data), test_u, test_v)
+    return result, summary, table
 
 
 # ----------------------------------------------------------------- sweeps --- #
@@ -393,13 +395,7 @@ def sweep_points(spec: SweepSpec) -> list[tuple]:
 
 def _evaluate_point(args):
     idx, config = args
-    data = build_dataset(config)
-    posterior = exact_posterior(data)
-    star = config.resolve_theta_star(data_generator(config.master_seed))
-    result = run(config, data)
-    test_u, test_v = build_test_set(result.config, star)
-    summary, _ = summarize_run(result, posterior, test_u, test_v)
-    return idx, summary
+    return idx, evaluate(config)[1]
 
 
 def sweep_configs(spec: SweepSpec) -> list[RunConfig]:
@@ -421,10 +417,12 @@ def run_sweep(spec: SweepSpec, output_dir: str, workers: int = 1) -> list[dict]:
     scheme rather than execution order.
     """
     spec.validate()
+    if workers < 1:
+        raise ConfigurationError(f"need at least one worker, got {workers}")
     os.makedirs(output_dir, exist_ok=True)
     configs = sweep_configs(spec)
     tasks = list(enumerate(configs))
-    if workers <= 1:
+    if workers == 1:
         results = dict(map(_evaluate_point, tasks))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:

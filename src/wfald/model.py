@@ -13,7 +13,7 @@ Gaussian N((U U^T + I)^{-1} U v, (U U^T + I)^{-1}).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -159,45 +159,11 @@ def local_grad(theta: np.ndarray, shard: LocalDataset, k_total: int) -> np.ndarr
     return U @ (U.T @ theta - v) + theta / k_total
 
 
-def global_grad(theta: np.ndarray, data: Dataset) -> np.ndarray:
-    """Gradient of the global cost (sum of all device costs)."""
-    U, v = data.covariates, data.targets
-    return U @ (U.T @ theta - v) + theta
-
-
 def batch_size(p_b: float, n_k: int) -> int:
     """round(p_b * n_k), half away from zero, floored at one sample."""
     if not 0 < p_b <= 1:
         raise ValueError(f"batch fraction must be in (0, 1], got {p_b}")
     return max(1, int(np.floor(p_b * n_k + 0.5)))
-
-
-def draw_batch(rng: np.random.Generator, n: int, m: int) -> np.ndarray:
-    """Uniform without-replacement batch of m indices out of n.
-
-    Implemented as an argpartition of n uniform keys so the stream consumption
-    is a fixed n draws per call.  When m == n no randomness is consumed.
-    """
-    if m >= n:
-        return np.arange(n)
-    keys = rng.random(n)
-    return np.argpartition(keys, m)[:m]
-
-
-def stochastic_grad(theta: np.ndarray, shard: LocalDataset, p_b: float,
-                    rng: np.random.Generator, k_total: int) -> np.ndarray:
-    """Mini-batch gradient estimate with nominal 1/p_b rescaling.
-
-    The batch is drawn uniformly without replacement with size
-    ``round(p_b * n_k)`` (at least 1); the likelihood part is rescaled by the
-    nominal fraction so the estimate is unbiased whenever p_b * n_k is an
-    integer.  The prior term theta/K is deterministic and never rescaled.
-    """
-    m = batch_size(p_b, shard.size)
-    idx = draw_batch(rng, shard.size, m)
-    U = shard.covariates[:, idx]
-    v = shard.targets[idx]
-    return U @ (U.T @ theta - v) / p_b + theta / k_total
 
 
 def exact_posterior(data: Dataset) -> GaussianDist:
@@ -241,47 +207,18 @@ def _sigma_closed_form(shard: LocalDataset, p_b: float, theta: np.ndarray) -> fl
     return var + bias_sq
 
 
-def _sigma_empirical(shard: LocalDataset, p_b: float, theta: np.ndarray,
-                     k_total: int, rng: np.random.Generator, n_batches: int = 10_000) -> float:
-    """Monte-Carlo estimate of the stochastic-gradient variance (fallback).
-
-    Averages the squared deviation from the full local gradient over many
-    resampled batches; agrees with the without-replacement closed form up to
-    Monte-Carlo error.
-    """
-    full = local_grad(theta, shard, k_total)
-    n = shard.size
-    m = batch_size(p_b, n)
-    if m >= n:
-        return 0.0
-    keys = rng.random((n_batches, n))
-    idx = np.argpartition(keys, m, axis=1)[:, :m]
-    U = shard.covariates
-    Ub = U[:, idx]                                  # (d, n_batches, m)
-    resid = np.einsum("dbm,d->bm", Ub, theta) - shard.targets[idx]
-    grads = np.einsum("dbm,bm->bd", Ub, resid) / p_b + theta / k_total
-    dev = grads - full
-    return float(np.mean(np.sum(dev * dev, axis=1)))
-
-
 def measure_constants(shards: list[LocalDataset], k_total: int, region_radius: float,
-                      p_b: float, rng: np.random.Generator | None = None,
-                      sigma_method: str = "closed_form") -> RegularityConstants:
+                      p_b: float) -> RegularityConstants:
     """Measure smoothness, strong convexity, gradient bound and batch noise.
 
     Smoothness / strong convexity are the extreme eigenvalues of the device
     Hessians U_k U_k^T + I/K.  The gradient bound is taken over the ball of
     radius ``region_radius`` centered at the posterior mean:
     max_k ||grad f_k(mean)|| + L * region_radius.  Batch-noise bounds are
-    evaluated at the posterior mean, either in closed form (default) or as an
-    empirical average over 10^4 resampled batches (``sigma_method="empirical"``).
+    evaluated at the posterior mean in closed form.
     """
     if region_radius <= 0:
         raise ValueError("region_radius must be positive")
-    if sigma_method not in ("closed_form", "empirical"):
-        raise ValueError(f"unknown sigma_method {sigma_method!r}")
-    if sigma_method == "empirical" and rng is None:
-        raise ValueError("empirical sigma estimation needs an rng")
 
     data = Dataset(covariates=np.concatenate([s.covariates for s in shards], axis=1),
                    targets=np.concatenate([s.targets for s in shards]))
@@ -296,10 +233,7 @@ def measure_constants(shards: list[LocalDataset], k_total: int, region_radius: f
     grad_center = max(float(np.linalg.norm(local_grad(mu_p, s, k_total))) for s in shards)
     grad_bound = grad_center + l_max * region_radius
 
-    if sigma_method == "closed_form":
-        sigma_sq = np.array([_sigma_closed_form(s, p_b, mu_p) for s in shards])
-    else:
-        sigma_sq = np.array([_sigma_empirical(s, p_b, mu_p, k_total, rng) for s in shards])
+    sigma_sq = np.array([_sigma_closed_form(s, p_b, mu_p) for s in shards])
 
     return RegularityConstants(smoothness=l_max, strong_convexity=mu_min,
                                grad_bound=grad_bound,

@@ -1,19 +1,19 @@
 """End-to-end training/sampling protocols.
 
-Four protocols share one engine:
+One engine, :func:`run`, runs four protocols, chosen by ``config.algorithm``:
 
-* ``run_wfald``    -- federated Langevin sampling with wireless over-the-air
+* ``WFALD``   -- federated Langevin sampling with wireless over-the-air
   aggregation: on aggregation rounds devices transmit their SGLD payload
   (particle minus scaled stochastic gradient, no injected noise) through the
   analog channel, and the receiver's scaled channel noise plays the role of
   the shared Langevin noise.
-* ``run_fald``     -- the noiseless counterpart: aggregation rounds average the
+* ``FALD``    -- the noiseless counterpart: aggregation rounds average the
   locally updated particles exactly, with the shared noise drawn from the
   common stream.
-* ``run_sgld``     -- centralized single-chain Langevin sampling on the full
-  dataset; implemented as the K = 1, p_c = 1 degenerate case of the noiseless
+* ``SGLD``    -- centralized single-chain Langevin sampling on the full
+  dataset; run as the K = 1, p_c = 1 degenerate case of the noiseless
   protocol (the device cost with K = 1 is the full posterior cost).
-* ``run_wfedavg``  -- frequentist over-the-air federated averaging: identical
+* ``WFedAvg`` -- frequentist over-the-air federated averaging: identical
   scheduling, batching and channel, but no Langevin noise anywhere and pure
   full-power scaled channel inversion; the estimate is the final iterate.
 
@@ -133,8 +133,6 @@ class RunConfig:
             raise ValueError(f"burn-in {self.s_burn} must lie in [0, s_total)")
         if self.replicates < 1:
             raise ValueError("need at least one replicate")
-        if self.power <= 0:
-            raise ValueError("transmit power budget must be positive")
         if self.thin_stride < 1:
             raise ValueError("thin_stride must be at least 1")
         if self.tau_override is not None:
@@ -146,6 +144,10 @@ class RunConfig:
             raise ValueError("noise_std must be nonnegative")
         if self.region_radius is not None and self.region_radius <= 0:
             raise ValueError("region_radius must be positive")
+        self.channel()  # power, gain model and gain value
+        if self.theta_star is not None and np.shape(self.theta_star) != (self.dim,):
+            raise ValueError(f"theta_star must have {self.dim} entries, got "
+                             f"{np.size(self.theta_star)}")
 
     @property
     def s_use(self) -> int:
@@ -465,8 +467,22 @@ def _advance(config: RunConfig, chan: ChannelConfig, groups, A_global, b_global,
     return None
 
 
-def _run(config: RunConfig, data: Dataset) -> RunResult:
+def run(config: RunConfig, data: Dataset) -> RunResult:
+    """Run ``config.replicates`` replicates of ``config.algorithm`` on ``data``.
+
+    SGLD runs the noiseless engine with a single device holding all data and
+    aggregation every round; with K = 1 the device cost carries the full
+    prior, so each round is exactly one SGLD step on the posterior, and the
+    chain's noise comes from the common stream.  The chain's step size is
+    ``config.eta / config.k``: averaging K local steps advances the federated
+    protocols by eta/K times the full gradient with noise scale
+    sqrt(2 eta / K) per round, so this is the centralized chain their round
+    clock corresponds to.  Pass ``k = 1`` for a standalone chain at the
+    literal step size.  The returned config records the step actually taken.
+    """
     config.validate()
+    if config.algorithm == "SGLD":
+        config = dataclasses.replace(config, k=1, p_c=1.0, eta=config.eta / config.k)
     if data.dim != config.dim:
         raise ValueError(f"dataset dimension {data.dim} != config dim {config.dim}")
     if data.size != config.n_samples:
@@ -531,54 +547,3 @@ def _run(config: RunConfig, data: Dataset) -> RunResult:
     if failure is not None:
         raise ProtocolError(failure)
     return result
-
-
-# ----------------------------------------------------------- entry points --- #
-
-
-def run_wfald(config: RunConfig, data: Dataset) -> RunResult:
-    """Federated Langevin sampling with over-the-air aggregation."""
-    if config.algorithm != "WFALD":
-        config = dataclasses.replace(config, algorithm="WFALD")
-    return _run(config, data)
-
-
-def run_fald(config: RunConfig, data: Dataset) -> RunResult:
-    """Noiseless federated Langevin sampling (exact averaging)."""
-    if config.algorithm != "FALD":
-        config = dataclasses.replace(config, algorithm="FALD")
-    return _run(config, data)
-
-
-def run_sgld(config: RunConfig, data: Dataset) -> RunResult:
-    """Centralized Langevin sampling on the full dataset.
-
-    Runs the noiseless engine with a single device holding all data and
-    aggregation every round; with K = 1 the device cost carries the full
-    prior, so each round is exactly one SGLD step on the posterior, and the
-    chain's noise comes from the common stream.
-
-    The chain's step size is ``config.eta / config.k``: averaging K local
-    steps advances the federated protocols by eta/K times the full gradient
-    with noise scale sqrt(2 eta / K) per round, so this is the centralized
-    chain their round clock corresponds to.  Pass ``k = 1`` for a standalone
-    chain at the literal step size.  The returned config records the step
-    actually taken.
-    """
-    config = dataclasses.replace(config, algorithm="SGLD", k=1, p_c=1.0,
-                                 eta=config.eta / config.k, tau_override=None)
-    return _run(config, data)
-
-
-def run_wfedavg(config: RunConfig, data: Dataset) -> RunResult:
-    """Frequentist over-the-air federated averaging (no Langevin noise)."""
-    if config.algorithm != "WFedAvg":
-        config = dataclasses.replace(config, algorithm="WFedAvg")
-    return _run(config, data)
-
-
-def run(config: RunConfig, data: Dataset) -> RunResult:
-    """Dispatch on ``config.algorithm``."""
-    table = {"WFALD": run_wfald, "FALD": run_fald, "SGLD": run_sgld, "WFedAvg": run_wfedavg}
-    config.validate()
-    return table[config.algorithm](config, data)

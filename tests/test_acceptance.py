@@ -24,7 +24,7 @@ from wfald.analysis import (
 )
 from wfald.harness import SweepSpec, build_dataset, build_run_config, build_test_set, run_sweep
 from wfald.model import Dataset, exact_posterior
-from wfald.protocol import RunConfig, run, run_sgld
+from wfald.protocol import RunConfig, run
 
 
 @pytest.fixture(scope="module")
@@ -91,7 +91,7 @@ def test_02_centralized_chain_samples_the_posterior():
                     snr_db=None, master_seed=20, theta_star=None)
     data = build_dataset(cfg)
     post = exact_posterior(data)
-    result = run_sgld(cfg, data)
+    result = run(cfg, data)
     chain = result.avg_traj[0, cfg.s_burn + 1:, :]
 
     se = batch_means_se(chain)

@@ -12,12 +12,9 @@ from wfald.analysis import (
     empirical_gaussian,
     gaussian_w2_squared,
     per_device_mse,
-    posterior_mean_estimate,
     predictive_error,
     running_mse,
-    squared_error,
     w2_bound_sequence,
-    w2_trajectory,
 )
 from wfald.model import GaussianDist, RegularityConstants
 
@@ -161,15 +158,6 @@ def test_drift_bounds_vanish_under_constant_aggregation():
 
 
 class TestErrorMetrics:
-    def test_posterior_mean_estimate_collapses_devices(self):
-        dm = np.arange(12, dtype=float).reshape(2, 3, 2)
-        np.testing.assert_allclose(posterior_mean_estimate(dm), dm.mean(axis=1))
-
-    def test_squared_error_rows(self):
-        est = np.array([[1.0, 0.0], [0.0, 2.0]])
-        err = squared_error(est, np.array([0.0, 0.0]))
-        np.testing.assert_allclose(err, [1.0, 4.0])
-
     def test_per_device_mse_hand_case(self):
         target = np.array([1.0, 0.0])
         dm = np.array([[[1.0, 0.0], [3.0, 0.0]],
@@ -181,7 +169,7 @@ class TestErrorMetrics:
         rng = np.random.default_rng(4)
         dm = rng.standard_normal((6, 5, 3))
         target = rng.standard_normal(3)
-        collapsed = squared_error(posterior_mean_estimate(dm), target)
+        collapsed = np.sum((dm.mean(axis=1) - target) ** 2, axis=-1)
         assert (per_device_mse(dm, target) >= collapsed - 1e-12).all()
 
     def test_running_mse_masks_burn_in(self):
@@ -194,21 +182,14 @@ class TestErrorMetrics:
         assert out[-1] == pytest.approx(16.0)    # average of {3, 4, 5}
 
     def test_predictive_error_hand_case(self):
-        theta = np.array([1.0, 0.0])
-        inputs = np.eye(2)          # two test covariates as columns
-        targets = np.array([2.0, 0.0])
-        # predictions (1, 0); squared errors (1, 0); mean 0.5
-        assert predictive_error(theta, inputs, targets) == pytest.approx(0.5)
-
-
-def test_w2_trajectory_tracks_requested_rounds():
-    rng = np.random.default_rng(8)
-    post = gauss([0.0, 0.0], np.eye(2))
-    traj = rng.standard_normal((40, 4, 2))
-    out = w2_trajectory(traj, post, [1, 3])
-    direct1 = gaussian_w2_squared(empirical_gaussian(traj[:, 1, :]), post)
-    direct3 = gaussian_w2_squared(empirical_gaussian(traj[:, 3, :]), post)
-    np.testing.assert_allclose(out, [direct1, direct3], rtol=1e-12)
+        thetas = np.array([[1.0, 0.0], [0.0, 0.0]])
+        # two devices, two test covariates each as columns
+        inputs = np.stack([np.eye(2), 2.0 * np.eye(2)])
+        targets = np.array([[2.0, 0.0], [0.0, 1.0]])
+        # estimate 0: device 0 predicts (1, 0), squared errors (1, 0), mean 0.5;
+        # device 1 predicts (2, 0), squared errors (4, 1), mean 2.5
+        # estimate 1: predicts zeros, device means 2.0 and 0.5
+        np.testing.assert_allclose(predictive_error(thetas, inputs, targets), [1.5, 1.25])
 
 
 class TestBatchMeansSE:

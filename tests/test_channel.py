@@ -11,7 +11,6 @@ from wfald.channel import (
     power_gain,
     receive_aggregate,
     residual_noise_power,
-    transmit_signal,
 )
 
 
@@ -39,12 +38,6 @@ def test_config_validation():
         ChannelConfig(gain_model="awgn")
     with pytest.raises(ValueError):
         ChannelConfig(gain_model="constant", gain_value=0.0)
-
-
-def test_transmit_signal_hand_case():
-    out = transmit_signal(np.array([2.0, 0.0]), np.array([0.0, 2.0]),
-                          eta=0.5, alpha_k=2.0)
-    assert np.array_equal(out, np.array([4.0, -2.0]))
 
 
 class TestPowerGain:

@@ -51,6 +51,27 @@ def test_unknown_key_is_a_configuration_error(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--set", "gain_model=foo"],
+    ["run", "--set", "gain_value=0"],
+    ["run", "--set", "theta_star=1,2"],
+    ["sweep", *SMALL_ARGS, "--set", "sweep.replicates=abc"],
+    ["sweep", *SMALL_ARGS, "--set", "sweep.snr_db_grid=abc"],
+    ["sweep", *SMALL_ARGS, "--set", "sweep.pc_grid=abc"],
+    ["sweep", *SMALL_ARGS, "--set", "sweep.algorithms=,"],
+    ["sweep", *SMALL_ARGS, "--set", "sweep.workers=2"],
+    ["sweep", *SMALL_ARGS, "--workers", "0"],
+    ["sweep", *SMALL_ARGS, "--workers", "-3"],
+], ids=["gain_model", "gain_value", "theta_star_length", "sweep_replicates", "snr_grid",
+        "pc_grid", "no_algorithms", "sweep_workers_key", "workers_0", "workers_negative"])
+def test_bad_values_exit_1_without_traceback(argv, tmp_path, capsys):
+    assert main([*argv, "--output", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_config_file(tmp_path):
     assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == 1
 

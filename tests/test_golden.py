@@ -23,8 +23,7 @@ import numpy as np
 import pytest
 
 from wfald.harness import (ITERATION_COLUMNS, RESULT_COLUMNS, bound_skip_reason,
-                           build_dataset, build_test_set, summarize_run)
-from wfald.model import exact_posterior
+                           build_dataset, evaluate)
 from wfald.protocol import RunConfig, run
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "golden.npz")
@@ -106,10 +105,7 @@ def compute_summary(name: str) -> dict:
     """Summary row, iteration table and bound note of one summary case."""
     cfg = RunConfig(**{**BASE, **SUMMARY_CASES[name], "replicates": SUMMARY_REPLICATES,
                        "store_batch_indices": False})
-    data = build_dataset(cfg)
-    result = run(cfg, data)
-    test_u, test_v = build_test_set(result.config, data.theta_star)
-    summary, table = summarize_run(result, exact_posterior(data), test_u, test_v)
+    result, summary, table = evaluate(cfg)
     return {
         "algorithm": np.array(summary["algorithm"]),
         "bound_note": np.array(bound_skip_reason(result) or ""),

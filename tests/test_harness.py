@@ -25,8 +25,9 @@ from wfald.harness import (
     sweep_manifest,
     sweep_points,
 )
+from wfald.analysis import empirical_gaussian, gaussian_w2_squared
 from wfald.model import exact_posterior
-from wfald.protocol import BENCHMARK_THETA_STAR, RunConfig, run_wfald, run_wfedavg
+from wfald.protocol import BENCHMARK_THETA_STAR, RunConfig, run
 
 
 SMALL = {"k": "3", "dim": "2", "n_samples": "12", "eta": "0.01",
@@ -164,8 +165,7 @@ class TestSummaries:
         base.update({k: str(v) for k, v in kw.items()})
         cfg = build_run_config(base)
         data = build_dataset(cfg)
-        runner = run_wfald if algorithm == "WFALD" else run_wfedavg
-        return runner(cfg, data), exact_posterior(data)
+        return run(cfg, data), exact_posterior(data)
 
     def test_summary_row_is_complete(self):
         result, post = self.make_run()
@@ -191,6 +191,8 @@ class TestSummaries:
         diff = result.device_mean - post.mean
         direct = np.sum(diff * diff, axis=-1).mean(axis=-1)
         assert summary["mse_mean"] == pytest.approx(direct.mean(), rel=1e-12)
+        fit = empirical_gaussian(result.avg_traj[:, -1, :])
+        assert summary["w2_sq"] == pytest.approx(gaussian_w2_squared(fit, post), rel=1e-12)
 
 
 class TestSweepGrid:

@@ -3,12 +3,11 @@
 import numpy as np
 import pytest
 
+from round_reference import draw_batch, stochastic_grad
 from wfald.model import (Dataset, GaussianDist, LocalDataset,
-                         RegularityConstants, _sigma_closed_form,
-                         _sigma_empirical, batch_size, draw_batch,
-                         exact_posterior, generate_synthetic, global_grad,
-                         local_grad, measure_constants, partition_even,
-                         stochastic_grad)
+                         RegularityConstants, _sigma_closed_form, batch_size,
+                         exact_posterior, generate_synthetic, local_grad,
+                         measure_constants, partition_even)
 
 
 def _shard(U, v, owner=0):
@@ -81,12 +80,14 @@ def test_local_grad_hand_case():
 
 
 def test_global_grad_is_sum_of_local_grads():
+    """The device gradients sum to the global one, (U U^T + I) theta - U v."""
     rng = np.random.default_rng(3)
     data = generate_synthetic(30, 4, rng.standard_normal(4), 1.0, rng)
     shards = partition_even(data, 5)
     theta = rng.standard_normal(4)
     total = sum(local_grad(theta, s, 5) for s in shards)
-    np.testing.assert_allclose(total, global_grad(theta, data), rtol=1e-10)
+    U, v = data.covariates, data.targets
+    np.testing.assert_allclose(total, (U @ U.T + np.eye(4)) @ theta - U @ v, rtol=1e-10)
 
 
 def test_batch_size_rounding():
@@ -194,11 +195,19 @@ def test_sigma_closed_form_matches_enumeration():
 
 
 def test_sigma_empirical_agrees_with_closed_form():
+    """A Monte Carlo average over resampled batches matches the closed form."""
     rng = np.random.default_rng(6)
     shard = _shard(rng.standard_normal((3, 25)), rng.standard_normal(25))
     theta = rng.standard_normal(3)
     exact = _sigma_closed_form(shard, 0.4, theta)
-    approx = _sigma_empirical(shard, 0.4, theta, 4, np.random.default_rng(7), n_batches=40000)
+    full = local_grad(theta, shard, 4)
+    m = batch_size(0.4, shard.size)
+    keys = np.random.default_rng(7).random((40000, shard.size))
+    idx = np.argpartition(keys, m, axis=1)[:, :m]
+    Ub = shard.covariates[:, idx]                   # (d, batches, m)
+    resid = np.einsum("dbm,d->bm", Ub, theta) - shard.targets[idx]
+    dev = np.einsum("dbm,bm->bd", Ub, resid) / 0.4 + theta / 4 - full
+    approx = float(np.mean(np.sum(dev * dev, axis=1)))
     assert approx == pytest.approx(exact, rel=0.05)
 
 

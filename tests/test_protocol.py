@@ -6,19 +6,10 @@ import numpy as np
 import pytest
 
 import wfald.protocol as protocol
-from wfald import rng as _rng
+from round_reference import replay_fald
 from wfald.channel import ChannelConfig, ProtocolError
 from wfald.harness import build_dataset
-from wfald.model import partition_even
-from wfald.protocol import (
-    RunConfig,
-    run,
-    run_fald,
-    run_sgld,
-    run_wfald,
-    run_wfedavg,
-)
-from wfald.sampling import DeviceState, SharedRandomness, fald_round
+from wfald.protocol import RunConfig, run
 
 
 def small_config(**kw):
@@ -41,37 +32,38 @@ def test_replay_is_bitwise_deterministic(algorithm):
     assert np.array_equal(a.flags, b.flags)
 
 
-def test_engine_matches_round_by_round_reference():
-    """The vectorized engine replays the single-round reference trajectory.
+@pytest.mark.parametrize("settings, replicate", [
+    (dict(p_c=0.5, p_b=0.5), 0),
+    (dict(p_c=1.0, p_b=0.5), 0),
+    (dict(p_c=0.5, p_b=1.0), 0),
+    (dict(p_c=1.0, p_b=1.0), 0),
+    (dict(p_c=0.5, p_b=0.5, tau_override=0.7), 0),
+    (dict(p_c=0.5, p_b=0.5, n_samples=14), 0),
+    (dict(p_c=0.5, p_b=0.5, replicates=3), 2),
+], ids=["pc0.5-pb0.5", "pc1-pb0.5", "pc0.5-pb1", "pc1-pb1", "tau0.7", "unequal-shards",
+        "replicate2"])
+def test_engine_matches_round_by_round_reference(settings, replicate):
+    """The vectorized engine replays the one-device-at-a-time reference.
 
-    Both consume the same streams in the same order; the arithmetic is
-    reassociated (stacked einsum versus per-device matvec) so the match is
-    to relative tolerance rather than bitwise.
+    Both consume the same streams in the same order: flags every round,
+    batch keys below full batch, common noise where tau > 0 and private noise
+    where tau < 1.  The arithmetic is reassociated (stacked einsum versus
+    per-device matvec) so the match is to relative tolerance, not bitwise.
     """
-    cfg = small_config(s_total=8, s_burn=2, p_c=0.5)
+    cfg = small_config(s_total=8, s_burn=2, **settings)
     data = build_dataset(cfg)
-    engine = run_fald(cfg, data)
-
-    shards = partition_even(data, cfg.k)
-    streams = _rng.run_streams(cfg.master_seed, 0, cfg.k, cfg.seed_path)
-    shared = SharedRandomness(seed=cfg.master_seed, flag_rng=streams.flags,
-                              common_rng=streams.common)
-    devices = [DeviceState(index=k, theta=np.zeros(cfg.dim),
-                           batch_rng=streams.batch[k], noise_rng=streams.noise[k])
-               for k in range(cfg.k)]
-    ref = [np.zeros(cfg.dim)]
-    for _ in range(cfg.s_total):
-        fald_round(devices, shards, cfg.eta, cfg.p_b, cfg.p_c, cfg.k, shared)
-        ref.append(np.mean([d.theta for d in devices], axis=0))
-    np.testing.assert_allclose(engine.avg_traj[0], np.array(ref),
-                               rtol=1e-10, atol=1e-13)
+    engine = run(cfg, data)
+    flags, avg_traj, thetas = replay_fald(cfg, data, replicate)
+    assert np.array_equal(engine.flags[replicate], flags)
+    np.testing.assert_allclose(engine.avg_traj[replicate], avg_traj, rtol=1e-10, atol=1e-13)
+    np.testing.assert_allclose(engine.theta_final[replicate], thetas, rtol=1e-10, atol=1e-13)
 
 
 def test_sgld_is_single_device_fald():
     cfg = small_config(algorithm="SGLD", k=1, p_b=1.0, s_total=20, s_burn=5)
     data = build_dataset(cfg)
-    sgld = run_sgld(cfg, data)
-    fald = run_fald(dataclasses.replace(cfg, algorithm="FALD", p_c=1.0), data)
+    sgld = run(cfg, data)
+    fald = run(dataclasses.replace(cfg, algorithm="FALD", p_c=1.0), data)
     assert np.array_equal(sgld.avg_traj, fald.avg_traj)
     assert np.array_equal(sgld.device_mean, fald.device_mean)
     assert sgld.config.eta == cfg.eta  # k = 1 leaves the step size alone
@@ -79,7 +71,7 @@ def test_sgld_is_single_device_fald():
 
 def test_sgld_step_size_is_matched_to_the_round_clock():
     cfg = small_config(algorithm="SGLD", k=3, eta=3e-2)
-    res = run_sgld(cfg, build_dataset(cfg))
+    res = run(cfg, build_dataset(cfg))
     assert res.config.k == 1
     assert res.config.eta == pytest.approx(1e-2, rel=1e-15)
 
@@ -90,9 +82,9 @@ def test_algorithms_share_schedule_and_batches():
     cfg_w = small_config(algorithm="WFALD", **kw)
     data = build_dataset(cfg_w)
     res = {
-        "WFALD": run_wfald(cfg_w, data),
-        "FALD": run_fald(small_config(algorithm="FALD", **kw), data),
-        "WFedAvg": run_wfedavg(small_config(algorithm="WFedAvg", **kw), data),
+        "WFALD": run(cfg_w, data),
+        "FALD": run(small_config(algorithm="FALD", **kw), data),
+        "WFedAvg": run(small_config(algorithm="WFedAvg", **kw), data),
     }
     base = res["WFALD"]
     for name in ("FALD", "WFedAvg"):
@@ -107,7 +99,7 @@ def test_algorithms_share_schedule_and_batches():
 
 def test_noiseless_wireless_rounds_log_zero_noise():
     cfg = small_config(algorithm="WFALD", snr_db=None, s_total=20)
-    res = run_wfald(cfg, build_dataset(cfg))
+    res = run(cfg, build_dataset(cfg))
     flags = res.flags[0]
     assert np.isfinite(res.alpha[0]).sum() == int(flags.sum())
     assert (res.beta[0][flags] == 0.0).all()
@@ -116,18 +108,18 @@ def test_noiseless_wireless_rounds_log_zero_noise():
     # rounds do not collapse onto the deterministic descent map
     cfg_det = small_config(algorithm="WFedAvg", snr_db=None, s_total=20,
                            force_final_agg=False)
-    det = run_wfedavg(cfg_det, build_dataset(cfg_det))
+    det = run(cfg_det, build_dataset(cfg_det))
     assert not np.allclose(res.avg_traj, det.avg_traj)
 
 
 def test_final_aggregation_defaults():
     cfg = small_config(algorithm="WFedAvg", snr_db=10.0)
-    res = run_wfedavg(cfg, build_dataset(cfg))
+    res = run(cfg, build_dataset(cfg))
     assert res.final_agg_forced
     assert bool(res.flags[0][-1])
     assert (res.theta_final[0] == res.theta_final[0][0]).all()
 
-    res_w = run_wfald(small_config(algorithm="WFALD"), build_dataset(small_config()))
+    res_w = run(small_config(algorithm="WFALD"), build_dataset(small_config()))
     assert not res_w.final_agg_forced
 
 
@@ -137,7 +129,7 @@ def test_power_violation_raises(monkeypatch):
     monkeypatch.setattr(protocol, "power_gain",
                         lambda payloads, *a, **k: np.full(payloads.shape[0], 1e8))
     with pytest.raises(ProtocolError, match=r"device \d+ at round \d+"):
-        run_wfald(cfg, data)
+        run(cfg, data)
 
 
 def test_near_zero_gain_raises(monkeypatch):
@@ -146,7 +138,7 @@ def test_near_zero_gain_raises(monkeypatch):
     monkeypatch.setattr(ChannelConfig, "draw_gains",
                         lambda self, size, rng: np.tile([1.0, 1e-12, 1.0], (size[0], 1)))
     with pytest.raises(ProtocolError, match="near-zero channel gain"):
-        run_wfald(cfg, data)
+        run(cfg, data)
 
 
 @pytest.mark.parametrize("block", [1, 16])
@@ -173,7 +165,7 @@ def test_earliest_failing_round_is_reported(monkeypatch, block):
     monkeypatch.setattr(protocol, "TAPE_WINDOW", cfg.s_total)
     with pytest.raises(ProtocolError,
                        match=r"near-zero channel gain .* on device 1 at round 2 of replicate 1;"):
-        run_wfald(cfg, data)
+        run(cfg, data)
 
 
 @pytest.mark.parametrize("settings", [
@@ -207,19 +199,19 @@ def test_divergence_raises_protocol_error():
     cfg = small_config(eta=100.0, s_total=200, s_burn=10)
     data = build_dataset(cfg)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ProtocolError, match="non-finite"):
-        run_fald(cfg, data)
+        run(cfg, data)
 
 
 class TestDriftDiagnostics:
     def test_v_theta_zero_exactly_under_constant_aggregation(self):
         cfg = small_config(p_c=1.0, k=30, dim=5, n_samples=1200, eta=3e-3,
                            p_b=0.4, s_total=40, s_burn=10, theta_star=None)
-        res = run_fald(cfg, build_dataset(cfg))
+        res = run(cfg, build_dataset(cfg))
         assert (res.v_theta == 0.0).all()
 
     def test_v_theta_zero_on_aggregation_following_iterations(self):
         cfg = small_config(algorithm="WFALD", p_c=0.4, s_total=40, s_burn=10)
-        res = run_wfald(cfg, build_dataset(cfg))
+        res = run(cfg, build_dataset(cfg))
         flags = res.flags[0]
         v = res.v_theta[0]
         assert v[0] == 0.0  # shared zero initialization
@@ -230,13 +222,13 @@ class TestDriftDiagnostics:
 
     def test_v_c_positive_for_scattered_particles(self):
         cfg = small_config(p_c=0.2, s_total=30, s_burn=5, master_seed=3)
-        res = run_fald(cfg, build_dataset(cfg))
+        res = run(cfg, build_dataset(cfg))
         assert (res.v_c > 0).any()
 
 
 def test_channel_round_accessors():
     cfg = small_config(algorithm="WFALD", snr_db=5.0, s_total=25, s_burn=5)
-    res = run_wfald(cfg, build_dataset(cfg))
+    res = run(cfg, build_dataset(cfg))
     flags = res.flags[0]
     for name in ("beta", "alpha", "power_use"):
         values = getattr(res, name)
@@ -252,7 +244,7 @@ def test_channel_round_accessors():
 def test_device_mean_matches_stored_trajectory():
     cfg = small_config(algorithm="WFALD", s_total=16, s_burn=6, replicates=2,
                        store_device_trajectories=True)
-    res = run_wfald(cfg, build_dataset(cfg))
+    res = run(cfg, build_dataset(cfg))
     for r in range(cfg.replicates):
         tail = res.device_traj[r][cfg.s_burn + 1:]
         np.testing.assert_allclose(res.device_mean[r], tail.mean(axis=0),
@@ -261,7 +253,7 @@ def test_device_mean_matches_stored_trajectory():
 
 def test_thinned_storage_keeps_endpoints():
     cfg = small_config(s_total=11, s_burn=2, thin_stride=4, store_device_trajectories=True)
-    res = run_fald(cfg, build_dataset(cfg))
+    res = run(cfg, build_dataset(cfg))
     assert list(res.stored_iterations) == [0, 4, 8, 11]
     assert res.device_traj.shape == (1, 4, cfg.k, cfg.dim)
     np.testing.assert_array_equal(res.device_traj[0, -1].mean(axis=0),
@@ -271,7 +263,7 @@ def test_thinned_storage_keeps_endpoints():
 def test_trajectory_storage_can_be_disabled():
     cfg = small_config()
     assert not cfg.store_device_trajectories
-    res = run_fald(cfg, build_dataset(cfg))
+    res = run(cfg, build_dataset(cfg))
     assert res.device_traj is None
     assert res.stored_iterations is None
 
@@ -304,4 +296,4 @@ class TestConfigValidation:
         cfg = small_config()
         data = build_dataset(small_config(n_samples=15))
         with pytest.raises(ValueError, match="size"):
-            run_fald(cfg, data)
+            run(cfg, data)

@@ -1,12 +1,21 @@
-"""Langevin steps, correlated noise mixing and the reference federated round."""
+"""Langevin steps: the SGLD chain, the round flags, and the round-by-round reference.
+
+``round_reference`` is the oracle the engine is checked against
+(``test_protocol.py::test_engine_matches_round_by_round_reference``); the
+tests of its noise mixing and federated round check the oracle itself
+against hand computations and stream replays.
+"""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
+from round_reference import correlated_noise, fald_round
+from wfald.harness import build_dataset
 from wfald.model import Dataset, local_grad, partition_even
+from wfald.protocol import RunConfig, run
 from wfald.rng import run_streams
-from wfald.sampling import (DeviceState, SharedRandomness, correlated_noise,
-                            draw_round_flag, fald_round, sgld_step)
 
 
 def _toy_problem(k, n=24, d=2, seed=0):
@@ -16,22 +25,42 @@ def _toy_problem(k, n=24, d=2, seed=0):
     return partition_even(Dataset(covariates=U, targets=v), k)
 
 
-def _devices_from_streams(streams, k, d):
-    return [DeviceState(index=i, theta=np.zeros(d), batch_rng=streams.batch[i],
-                        noise_rng=streams.noise[i]) for i in range(k)]
+def _sgld_config(**kw):
+    base = dict(algorithm="SGLD", k=1, dim=2, n_samples=6, eta=1e-2, p_b=1.0,
+                s_total=3, s_burn=0, master_seed=3, theta_star=np.array([1.0, -2.0]))
+    return RunConfig(**{**base, **kw})
 
 
 def test_sgld_step_matches_manual_update():
-    theta = np.array([1.0, -2.0])
-    grad = np.array([2.0, 0.0])
-    draw = np.random.default_rng(3).standard_normal(2)
-    got = sgld_step(theta, grad, 0.25, np.random.default_rng(3))
-    np.testing.assert_allclose(got, theta - 0.25 * grad + np.sqrt(0.5) * draw, rtol=1e-15)
+    """Each SGLD round is one Langevin step on the posterior, noise from the common stream."""
+    cfg = _sgld_config()
+    data = build_dataset(cfg)
+    res = run(cfg, data)
+    U, v = data.covariates, data.targets
+    common = run_streams(cfg.master_seed, 0, 1).common
+    theta = np.zeros(2)
+    for s in range(1, cfg.s_total + 1):
+        grad = (U @ U.T + np.eye(2)) @ theta - U @ v
+        theta = theta - cfg.eta * grad + np.sqrt(2 * cfg.eta) * common.standard_normal(2)
+        np.testing.assert_allclose(res.avg_traj[0, s], theta, rtol=1e-12)
 
 
 def test_sgld_step_rejects_nonpositive_eta():
-    with pytest.raises(ValueError):
-        sgld_step(np.zeros(1), np.zeros(1), 0.0, np.random.default_rng(0))
+    cfg = _sgld_config(eta=0.0)
+    with pytest.raises(ValueError, match="step size must be positive"):
+        run(cfg, build_dataset(cfg))
+
+
+def test_draw_round_flag_threshold_and_validation():
+    """Round flags are Bernoulli(p_c) draws; p_c must lie in (0, 1]."""
+    cfg = RunConfig(algorithm="FALD", k=1, dim=1, n_samples=2, p_b=1.0, p_c=0.3,
+                    s_total=10000, s_burn=0, theta_star=np.array([0.5]))
+    data = build_dataset(cfg)
+    rate = run(cfg, data).flags.mean()
+    assert abs(rate - 0.3) < 4 * np.sqrt(0.3 * 0.7 / 10000)
+    with pytest.raises(ValueError, match="aggregation probability"):
+        run(dataclasses.replace(cfg, p_c=0.0), data)
+    assert run(dataclasses.replace(cfg, p_c=1.0, s_total=50), data).flags.all()
 
 
 class TestCorrelatedNoise:
@@ -55,14 +84,6 @@ class TestCorrelatedNoise:
         got = correlated_noise(0.5, 2, 1, common, np.random.default_rng(7))
         np.testing.assert_allclose(got, np.sqrt(0.25) * common + np.sqrt(0.5) * priv)
 
-    def test_missing_inputs_raise(self):
-        with pytest.raises(ValueError):
-            correlated_noise(0.5, 2, 1, None, np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            correlated_noise(0.5, 2, 1, np.zeros(1), None)
-        with pytest.raises(ValueError):
-            correlated_noise(1.5, 2, 1, np.zeros(1), np.random.default_rng(0))
-
     def test_moment_structure(self):
         """Per-device variance tau/K + (1-tau); cross-device covariance tau/K."""
         tau, K, reps = 0.6, 3, 20000
@@ -79,42 +100,28 @@ class TestCorrelatedNoise:
         assert np.cov(a, b)[0, 1] == pytest.approx(cov_target, abs=4 * var_target / np.sqrt(reps))
 
 
-def test_draw_round_flag_threshold_and_validation():
-    shared = SharedRandomness.from_seed(0)
-    flags = [draw_round_flag(shared, 0.3) for _ in range(10000)]
-    rate = np.mean(flags)
-    assert abs(rate - 0.3) < 4 * np.sqrt(0.3 * 0.7 / 10000)
-    with pytest.raises(ValueError):
-        draw_round_flag(shared, 0.0)
-    shared_sure = SharedRandomness.from_seed(1)
-    assert all(draw_round_flag(shared_sure, 1.0) == 1 for _ in range(50))
-
-
 class TestFaldRound:
     def test_aggregation_replaces_particles_with_average(self):
         k = 3
         shards = _toy_problem(k)
-        streams = run_streams(0, 0, k)
-        devices = _devices_from_streams(streams, k, 2)
-        shared = SharedRandomness(seed=0, flag_rng=streams.flags, common_rng=streams.common)
-        agg = fald_round(devices, shards, 1e-2, 1.0, 1.0, k, shared)
+        thetas = np.zeros((k, 2))
+        agg = fald_round(thetas, shards, run_streams(0, 0, k), 1e-2, 1.0, 1.0)
         assert agg is not None
-        for dev in devices:
-            np.testing.assert_array_equal(dev.theta, agg)
+        for theta in thetas:
+            np.testing.assert_array_equal(theta, agg)
 
     def test_non_aggregation_round_returns_none_and_leaves_common_untouched(self):
         k = 2
         shards = _toy_problem(k)
         streams = run_streams(3, 0, k)
-        devices = _devices_from_streams(streams, k, 2)
-        shared = SharedRandomness(seed=3, flag_rng=streams.flags, common_rng=streams.common)
+        thetas = np.zeros((k, 2))
         # replay the flag stream to find how many rounds aggregate before the
         # first local-only round
         flag_replay = run_streams(3, 0, k).flags
         n_agg = 0
         while flag_replay.random() < 0.5:
             n_agg += 1
-        results = [fald_round(devices, shards, 1e-2, 1.0, 0.5, k, shared)
+        results = [fald_round(thetas, shards, streams, 1e-2, 1.0, 0.5)
                    for _ in range(n_agg + 1)]
         assert all(r is not None for r in results[:n_agg])
         assert results[-1] is None
@@ -122,40 +129,28 @@ class TestFaldRound:
         reference = run_streams(3, 0, k).common
         if n_agg:
             reference.standard_normal((n_agg, 2))
-        np.testing.assert_array_equal(shared.common_rng.standard_normal(2),
+        np.testing.assert_array_equal(streams.common.standard_normal(2),
                                       reference.standard_normal(2))
 
     def test_tau_override_consumes_common_on_non_aggregation_round(self):
         k = 2
         shards = _toy_problem(k)
         streams = run_streams(4, 0, k)
-        devices = _devices_from_streams(streams, k, 2)
-        shared = SharedRandomness(seed=4, flag_rng=streams.flags, common_rng=streams.common)
         untouched = run_streams(4, 0, k).common
-        fald_round(devices, shards, 1e-2, 1.0, 0.5, k, shared, tau_override=0.7)
+        fald_round(np.zeros((k, 2)), shards, streams, 1e-2, 1.0, 0.5, tau_override=0.7)
         untouched.standard_normal(2)  # skip the draw the round used
-        np.testing.assert_array_equal(shared.common_rng.standard_normal(2),
+        np.testing.assert_array_equal(streams.common.standard_normal(2),
                                       untouched.standard_normal(2))
 
     def test_devices_advance_with_local_steps(self):
         """At tau = 0 and full batch each device does its own gradient step."""
         k = 2
         shards = _toy_problem(k, seed=9)
-        streams = run_streams(5, 0, k)
-        devices = _devices_from_streams(streams, k, 2)
-        shared = SharedRandomness(seed=5, flag_rng=streams.flags, common_rng=streams.common)
+        thetas = np.zeros((k, 2))
         noise_replay = [run_streams(5, 0, k).noise[i] for i in range(k)]
         eta = 1e-2
-        fald_round(devices, shards, eta, 1.0, 1e-9, k, shared)  # p_c tiny: no aggregation
-        for i, dev in enumerate(devices):
+        fald_round(thetas, shards, run_streams(5, 0, k), eta, 1.0, 1e-9)  # p_c tiny: no aggregation
+        for i, theta in enumerate(thetas):
             expect = (np.zeros(2) - eta * local_grad(np.zeros(2), shards[i], k)
                       + np.sqrt(2 * eta) * noise_replay[i].standard_normal(2))
-            np.testing.assert_allclose(dev.theta, expect, rtol=1e-12)
-
-    def test_length_mismatch_raises(self):
-        shards = _toy_problem(2)
-        streams = run_streams(0, 0, 2)
-        devices = _devices_from_streams(streams, 2, 2)
-        shared = SharedRandomness(seed=0, flag_rng=streams.flags, common_rng=streams.common)
-        with pytest.raises(ValueError):
-            fald_round(devices, shards, 1e-2, 1.0, 0.5, 3, shared)
+            np.testing.assert_allclose(theta, expect, rtol=1e-12)
