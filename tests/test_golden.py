@@ -57,7 +57,6 @@ CASES = {
     "fald_tau_half": dict(algorithm="FALD", tau_override=0.5),
 }
 
-
 #: every engine case, plus a step beyond 2/L (about 0.17 on this data)
 SUMMARY_CASES = {**CASES, "fald_beyond_contraction": dict(algorithm="FALD", eta=0.2)}
 
