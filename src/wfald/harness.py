@@ -203,6 +203,11 @@ class SweepSpec:
             raise ConfigurationError("sweep.replicates must be at least 1")
         if not self.pc_grid or not self.snr_db_grid or not self.algorithms:
             raise ConfigurationError("sweep grids and sweep.algorithms must be non-empty")
+        for config in sweep_configs(self):
+            try:
+                config.validate()
+            except ValueError as exc:
+                raise ConfigurationError(f"sweep point {config.algorithm}: {exc}") from None
 
 
 def build_sweep_spec(raw: dict) -> SweepSpec:

@@ -30,6 +30,18 @@ restores the Langevin noise.  It then draws each of those streams
 ``TAPE_WINDOW`` rounds at a time, in the order a round-by-round run consumes
 it, so memory stays bounded by the block and the window, not by the run.
 
+Threads.  :func:`run` owns one helper thread for its duration and joins it
+before it returns or raises.  The calling thread derives the streams, draws
+the flags and the fading gains, and runs the recurrence; the helper draws a
+window's batch keys and their ``argpartition``, the Langevin noise and the
+receiver noise, and marks its near-zero gains.  The helper draws one window
+ahead, the next block's first after a block's last, so its numpy calls,
+which release the interpreter lock, overlap the recurrence.  Each stream is
+read by one thread only and windows are consumed in round order, so the
+draws are those of a serial run.  Public functions (the ones a profiler
+wraps) and arithmetic that can overflow stay on the calling thread, whose
+``np.errstate`` governs them.
+
 Invariance.  Philox streams are counter based, so a stream drawn in blocks of
 any size yields exactly the values per-round draws yield (pinned by
 ``tests/test_rng.py`` and ``wfald validate``), and every replicate's
@@ -49,6 +61,9 @@ sequences and identical mini-batch index sequences.
 from __future__ import annotations
 
 import dataclasses
+import itertools
+import operator
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,8 +84,9 @@ BENCHMARK_THETA_STAR = np.array([-0.0615, -1.6057, 1.7629, 1.0240, -1.5902])
 #: arrays stay within a few MB at the reference problem (K=30, n=1200)
 REPLICATE_BLOCK = 16
 
-#: rounds of every random stream drawn at once
-TAPE_WINDOW = 32
+#: rounds of every random stream drawn at once; two windows are in memory
+#: while one is drawn ahead, and 32 rounds put a sweep's peak RSS up 6 %
+TAPE_WINDOW = 16
 
 
 # ---------------------------------------------------------------- config --- #
@@ -115,6 +131,16 @@ class RunConfig:
     def validate(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; expected one of {ALGORITHMS}")
+        # range checks below are comparisons, which NaN passes
+        for name in ("eta", "p_c", "p_b", "snr_db", "power", "gain_value", "noise_std",
+                     "region_radius", "tau_override"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        if self.theta_star is not None and not np.isfinite(self.theta_star).all():
+            raise ValueError("theta_star must be finite")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be nonnegative, got {self.master_seed}")
         if self.k < 1:
             raise ValueError("need at least one device")
         if self.dim < 1:
@@ -237,12 +263,9 @@ def _build_groups(shards, k_total: int, p_b: float) -> list[_DeviceGroup]:
     return groups
 
 
-class _Tape:
-    """Every random draw of one block of replicates, a window of rounds at a time.
-
-    The constructor derives each replicate's streams and draws its round
-    flags for the whole run.  ``fill(s0, s1)`` then draws rounds [s0, s1) of
-    every other stream, laid out round-major for the recurrence:
+@dataclass
+class _Window:
+    """Rounds [s0, s1) of a tape's streams, laid out round-major.
 
     * ``batch[g]``  (w, B, g, m) rows of group g's sample table picked by the
       mini-batches (None at full batch);
@@ -250,7 +273,31 @@ class _Tape:
       where a round injects none (None for WFedAvg);
     * ``gains`` (w, B, K), ``noise`` (w, B, d) and ``restore`` (w, B, d):
       channel gains, the receiver's standard-normal block and, for noiseless
-      WFALD, the block that restores the Langevin noise, on wireless rounds.
+      WFALD, the block that restores the Langevin noise, on wireless rounds;
+      ``tiny`` (w, B) marks the replicates whose round has a near-zero gain
+      (all None without a channel, ``restore`` also with channel noise).
+    """
+
+    s0: int
+    s1: int
+    batch: list
+    step_noise: np.ndarray | None
+    gains: np.ndarray | None
+    tiny: np.ndarray | None
+    noise: np.ndarray | None
+    restore: np.ndarray | None
+
+
+class _Tape:
+    """Every random draw of one block of replicates, a window of rounds at a time.
+
+    The constructor derives each replicate's streams and draws its round
+    flags for the whole run.  ``submit(helper, s0, s1)`` draws the fading
+    gains of rounds [s0, s1) on the calling thread and hands them to ``fill``
+    on the helper thread, which draws the other streams' rounds [s0, s1) into
+    a :class:`_Window`.  Windows are submitted in round order and every
+    stream is read by one thread only, so the draws are those of a
+    round-by-round run.
     """
 
     def __init__(self, config: RunConfig, chan: ChannelConfig, groups, first: int,
@@ -268,16 +315,28 @@ class _Tape:
         self.restoring = config.algorithm == "WFALD" and chan.noise_level == 0.0
         self.batch_out = batch_out
 
-    def fill(self, s0: int, s1: int) -> None:
+    def submit(self, helper: ThreadPoolExecutor, s0: int, s1: int) -> Future:
+        gains = None
+        if self.wireless:
+            # a public function, so on the calling thread (see "Threads" above)
+            gains = np.ones((s1 - s0, len(self.streams), self.config.k))
+            for b, st in enumerate(self.streams):
+                rounds = np.flatnonzero(self.flags[b, s0:s1])
+                if rounds.size:
+                    gains[rounds, b] = self.chan.draw_gains((rounds.size, self.config.k),
+                                                            st.gains)
+        return helper.submit(self.fill, s0, s1, gains)
+
+    def fill(self, s0: int, s1: int, gains: np.ndarray | None) -> _Window:
         cfg = self.config
         K, d, w, B = cfg.k, cfg.dim, s1 - s0, len(self.streams)
         agg = self.flags[:, s0:s1]
         over_air = agg if self.wireless else np.zeros_like(agg)
 
-        self.batch = []
+        batch = []
         for gi, g in enumerate(self.groups):
             if g.samples is None:
-                self.batch.append(None)
+                batch.append(None)
                 continue
             size = g.devices.stop - g.devices.start
             rows = np.empty((w, B, size, g.m), dtype=np.intp)
@@ -290,9 +349,9 @@ class _Tape:
                 if self.batch_out is not None:
                     self.batch_out[self.replicates[b]][gi][:, s0:s1] = chosen
                 np.add(chosen.transpose(1, 0, 2), first_row, out=rows[:, b])
-            self.batch.append(rows)
+            batch.append(rows)
 
-        self.step_noise = None
+        step_noise = None
         if self.langevin:
             if cfg.tau_override is not None:
                 tau = np.full(agg.shape, cfg.tau_override)
@@ -315,24 +374,52 @@ class _Tape:
             xi *= np.sqrt(1.0 - tau).T[:, :, None, None]
             xi += (np.sqrt(tau / K).T[:, :, None] * common)[:, :, None, :]
             xi *= np.sqrt(2.0 * cfg.eta)
-            self.step_noise = xi
+            step_noise = xi
 
+        tiny = noise = restore = None
         if self.wireless:
-            self.gains = np.ones((w, B, K))
-            self.noise = np.zeros((w, B, d))
-            self.restore = np.zeros((w, B, d)) if self.restoring else None
+            tiny = gains.min(axis=2) < 1e-6 * np.median(gains, axis=2)
+            noise = np.zeros((w, B, d))
+            restore = np.zeros((w, B, d)) if self.restoring else None
             blocks = 2 if self.restoring else 1
             for b, st in enumerate(self.streams):
                 rounds = np.flatnonzero(over_air[b])
                 if rounds.size:
-                    self.gains[rounds, b] = self.chan.draw_gains((rounds.size, K), st.gains)
                     draws = st.channel.standard_normal((rounds.size, blocks, d))
-                    self.noise[rounds, b] = draws[:, 0]
+                    noise[rounds, b] = draws[:, 0]
                     if self.restoring:
-                        self.restore[rounds, b] = draws[:, 1]
+                        restore[rounds, b] = draws[:, 1]
+        return _Window(s0, s1, batch, step_noise, gains, tiny, noise, restore)
 
 
-def _over_the_air(config: RunConfig, chan: ChannelConfig, tape: _Tape, i: int, s: int,
+def _windows(helper: ThreadPoolExecutor, tapes, stop):
+    """Yield (tape, window) over each tape's rounds [0, stop()), drawing one window ahead.
+
+    While the caller consumes a window, the helper draws the next one, which
+    is the next tape's first after a tape's last.  A failure found in a
+    window lowers ``stop()``; a window already drawn from rounds past it is
+    dropped, and one that only reaches past it is cut by the caller.
+    """
+    def submitted():
+        for tape in tapes:
+            s0 = 0
+            while s0 < stop():
+                s1 = min(stop(), s0 + TAPE_WINDOW)
+                yield tape, tape.submit(helper, s0, s1)
+                s0 = s1
+
+    queue = submitted()
+    pending = next(queue, None)
+    while pending is not None:
+        ahead = next(queue, None)  # submit the next window before waiting on this one
+        tape, future = pending
+        window = future.result()
+        if window.s0 < stop():
+            yield tape, window
+        pending = ahead
+
+
+def _over_the_air(config: RunConfig, chan: ChannelConfig, win: _Window, i: int, s: int,
                   sel, payloads: np.ndarray, out: RunResult, reps: np.ndarray, failures: list):
     """One wireless aggregation round for the replicates ``sel`` of a block.
 
@@ -340,8 +427,8 @@ def _over_the_air(config: RunConfig, chan: ChannelConfig, tape: _Tape, i: int, s
     largest ||x_k||^2 / P of each replicate.  Failed checks go to ``failures``.
     """
     K, eta, power = config.k, config.eta, chan.power
-    gains = tape.gains[i][sel]
-    tiny = gains.min(axis=1) < 1e-6 * np.median(gains, axis=1)
+    gains = win.gains[i][sel]
+    tiny = win.tiny[i][sel]
     if tiny.any():
         b = int(np.argmax(tiny))
         k = int(np.argmin(gains[b]))
@@ -369,12 +456,12 @@ def _over_the_air(config: RunConfig, chan: ChannelConfig, tape: _Tape, i: int, s
         k = int(np.argmin(ok[b]))
         failures.append((reps[b], 2, f"transmit power violated by device {k} at round {s} "
                          f"of replicate {reps[b]}: ||x||^2 = {sq[b, k]:.6g} > {power}"))
-    y, _ = noma_superpose(signals, gains, tape.noise[i][sel], chan.noise_level)
+    y, _ = noma_superpose(signals, gains, win.noise[i][sel], chan.noise_level)
     received = receive_aggregate(y, alpha, K)
-    if tape.restoring:
+    if win.restore is not None:
         # a noiseless channel cannot supply the Langevin noise the receiver
         # normally repurposes; restore it at full strength
-        received = received + np.sqrt(2.0 * eta / K) * tape.restore[i][sel]
+        received = received + np.sqrt(2.0 * eta / K) * win.restore[i][sel]
     out.alpha[reps, s] = alpha
     out.beta[reps, s] = residual_noise_power(alpha, chan.noise_level, eta, K)
     out.power_use[reps, s] = sq.max(axis=1) / power
@@ -382,8 +469,8 @@ def _over_the_air(config: RunConfig, chan: ChannelConfig, tape: _Tape, i: int, s
 
 
 def _advance(config: RunConfig, chan: ChannelConfig, groups, A_global, b_global,
-             tape: _Tape, stop: int, out: RunResult, stored_pos: dict):
-    """Run a tape's block of replicates through rounds [0, stop).
+             tape: _Tape, windows, stop: int, out: RunResult, stored_pos: dict):
+    """Run a tape's block of replicates through rounds [0, stop) of its ``windows``.
 
     Writes the block's rows of ``out``.  Returns None, or (round, message) of
     the earliest failing round, naming its lowest failing replicate.
@@ -402,14 +489,12 @@ def _advance(config: RunConfig, chan: ChannelConfig, groups, A_global, b_global,
     single = len(groups) == 1
     grads = None if single else np.empty((B, K, d))
 
-    for s0 in range(0, stop, TAPE_WINDOW):
-        s1 = min(stop, s0 + TAPE_WINDOW)
-        tape.fill(s0, s1)
-        agg_by_round = tape.flags[:, s0:s1].T
+    for win in windows:
+        agg_by_round = tape.flags[:, win.s0:win.s1].T
         any_agg = agg_by_round.any(axis=1).tolist()
         all_agg = agg_by_round.all(axis=1).tolist()
-        for i, s in enumerate(range(s0, s1)):
-            for g, batch in zip(groups, tape.batch):
+        for i, s in enumerate(range(win.s0, min(win.s1, stop))):
+            for g, batch in zip(groups, win.batch):
                 th = thetas if single else thetas[:, g.devices]
                 if batch is None:
                     # the prior term sits inside the precomputed per-device hessian
@@ -432,12 +517,12 @@ def _advance(config: RunConfig, chan: ChannelConfig, groups, A_global, b_global,
             v_c[:, s] = np.einsum("bd,bd->b", diff, diff)
 
             step = thetas - eta * grads
-            new = step if tape.step_noise is None else step + tape.step_noise[i]
+            new = step if win.step_noise is None else step + win.step_noise[i]
             failures = []
             if any_agg[i]:
                 sel = slice(None) if all_agg[i] else np.flatnonzero(agg_by_round[i])
                 if tape.wireless:
-                    new[sel] = _over_the_air(config, chan, tape, i, s, sel, step[sel], out,
+                    new[sel] = _over_the_air(config, chan, win, i, s, sel, step[sel], out,
                                              block[sel], failures)[:, None, :]
                 else:
                     new[sel] = new[sel].sum(axis=1, keepdims=True) / K
@@ -535,15 +620,16 @@ def run(config: RunConfig, data: Dataset) -> RunResult:
     n_blocks = -(-R // REPLICATE_BLOCK)
     edges = [R * j // n_blocks for j in range(n_blocks + 1)]
     failure, stop = None, S
-    for first, end in zip(edges[:-1], edges[1:]):
-        tape = _Tape(config, chan, groups, first, end - first, force_final,
-                     result.batch_indices)
-        found = _advance(config, chan, groups, A_global, b_global, tape, stop, result,
-                         stored_pos)
-        if found is not None:
-            stop, failure = found
-            if stop == 0:
-                break
+    # built lazily on this thread; the condition reads the current stop
+    tapes = (_Tape(config, chan, groups, first, end - first, force_final, result.batch_indices)
+             for first, end in zip(edges[:-1], edges[1:]) if stop > 0)
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        windows = _windows(helper, tapes, lambda: stop)
+        for tape, block in itertools.groupby(windows, key=operator.itemgetter(0)):
+            found = _advance(config, chan, groups, A_global, b_global, tape,
+                             (window for _, window in block), stop, result, stored_pos)
+            if found is not None:
+                stop, failure = found
     if failure is not None:
         raise ProtocolError(failure)
     return result

@@ -17,7 +17,10 @@ Namespace layout (first spawn-key element):
 
 Within one replicate the run key is split, in order, into: round-flag stream,
 common-noise stream, channel stream, gain stream, and one parent per device
-which is split again into (batch stream, local-noise stream).  Streams are
+which is split again into (batch stream, local-noise stream).  Each leaf is
+built from its full key, e.g. ``(2, pc_index, snr_index, replicate, 4, k, 0)``
+for device k's batch stream, which equals the ``SeedSequence.spawn`` tree's
+child at that path.  Streams are
 only ever consumed by the component they are named for, which is what makes
 runs of different algorithms under one master seed see identical round flags
 and identical mini-batch index sequences.
@@ -79,18 +82,14 @@ def run_streams(master_seed: int, replicate: int, k_devices: int,
     different algorithms under the same master seed share flag and batch
     streams (fair-comparison guarantee).
     """
-    root = seed_sequence(master_seed, NS_RUN, *grid_path, replicate)
-    flags_s, common_s, channel_s, gains_s, devices_s = root.spawn(5)
-    batch, noise = [], []
-    for dev in devices_s.spawn(k_devices):
-        b, n = dev.spawn(2)
-        batch.append(generator(b))
-        noise.append(generator(n))
+    def stream(*path):
+        return generator(seed_sequence(master_seed, NS_RUN, *grid_path, replicate, *path))
+
     return RunStreams(
-        flags=generator(flags_s),
-        common=generator(common_s),
-        channel=generator(channel_s),
-        gains=generator(gains_s),
-        batch=batch,
-        noise=noise,
+        flags=stream(0),
+        common=stream(1),
+        channel=stream(2),
+        gains=stream(3),
+        batch=[stream(4, k, 0) for k in range(k_devices)],
+        noise=[stream(4, k, 1) for k in range(k_devices)],
     )

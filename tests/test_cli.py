@@ -62,8 +62,15 @@ def test_unknown_key_is_a_configuration_error(tmp_path, capsys):
     ["sweep", *SMALL_ARGS, "--set", "sweep.workers=2"],
     ["sweep", *SMALL_ARGS, "--workers", "0"],
     ["sweep", *SMALL_ARGS, "--workers", "-3"],
+    ["run", "--set", "master_seed=-1"],
+    ["run", "--set", "noise_std=nan"],
+    ["run", "--set", "snr_db=nan"],
+    ["run", "--set", "eta=inf"],
+    ["run", "--set", "power=inf"],
+    ["sweep", *SMALL_ARGS, "--set", "sweep.snr_db_grid=20, nan"],
 ], ids=["gain_model", "gain_value", "theta_star_length", "sweep_replicates", "snr_grid",
-        "pc_grid", "no_algorithms", "sweep_workers_key", "workers_0", "workers_negative"])
+        "pc_grid", "no_algorithms", "sweep_workers_key", "workers_0", "workers_negative",
+        "negative_seed", "nan_noise_std", "nan_snr", "inf_eta", "inf_power", "nan_snr_grid"])
 def test_bad_values_exit_1_without_traceback(argv, tmp_path, capsys):
     assert main([*argv, "--output", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err

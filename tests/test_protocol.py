@@ -1,6 +1,7 @@
 """Engine tests: determinism, reference-equality, scheduling, failure modes."""
 
 import dataclasses
+import threading
 
 import numpy as np
 import pytest
@@ -181,7 +182,11 @@ def test_outputs_are_bitwise_invariant_under_block_and_window(monkeypatch, setti
     fields = ("flags", "avg_traj", "device_mean", "theta_final", "v_theta", "v_c",
               "beta", "alpha", "power_use", "device_traj")
     outputs = []
-    for block, window in ((1, 1), (2, 5), (1000, 1000)):
+    pairs = ((1, 1), (2, 5), (1000, 1000),
+             (protocol.REPLICATE_BLOCK, protocol.TAPE_WINDOW),
+             (2, cfg.s_total + 1),  # each block's one window is drawn during the last block
+             (4, 5))                # blocks of 2 and 3 replicates, windows cut at 10 and 12
+    for block, window in pairs:
         monkeypatch.setattr(protocol, "REPLICATE_BLOCK", block)
         monkeypatch.setattr(protocol, "TAPE_WINDOW", window)
         res = run(cfg, data)
@@ -193,6 +198,46 @@ def test_outputs_are_bitwise_invariant_under_block_and_window(monkeypatch, setti
         for groups_a, groups_b in zip(ref_batches, batches):
             for a, b in zip(groups_a, groups_b):
                 assert (a is None and b is None) or np.array_equal(a, b)
+
+
+class _HelperFailure(Exception):
+    pass
+
+
+@pytest.mark.parametrize("outcome", ["ok", "protocol_error", "helper_failure"])
+def test_no_thread_outlives_run(monkeypatch, outcome):
+    """The tape's helper thread is joined before ``run`` returns or raises.
+
+    A helper failure (here in the third window) reaches the caller as the
+    very exception the helper raised.
+    """
+    cfg = small_config(algorithm="WFALD", p_c=1.0, gain_model="rayleigh", replicates=3)
+    data = build_dataset(cfg)
+    monkeypatch.setattr(protocol, "TAPE_WINDOW", 2)
+    error = _HelperFailure("tape window failed")
+    if outcome == "protocol_error":
+        monkeypatch.setattr(ChannelConfig, "draw_gains",
+                            lambda self, size, rng: np.tile([1.0, 1e-12, 1.0], (size[0], 1)))
+    elif outcome == "helper_failure":
+        fill = protocol._Tape.fill
+
+        def failing_fill(self, s0, s1, gains):
+            if s0 >= 4:
+                raise error
+            return fill(self, s0, s1, gains)
+
+        monkeypatch.setattr(protocol._Tape, "fill", failing_fill)
+    before = threading.active_count()
+    if outcome == "ok":
+        run(cfg, data)
+    elif outcome == "protocol_error":
+        with pytest.raises(ProtocolError, match="near-zero channel gain"):
+            run(cfg, data)
+    else:
+        with pytest.raises(_HelperFailure) as raised:
+            run(cfg, data)
+        assert raised.value is error
+    assert threading.active_count() == before
 
 
 def test_divergence_raises_protocol_error():

@@ -19,24 +19,29 @@ def test_test_data_stream_uses_namespace_3():
 
 
 def test_run_streams_match_documented_derivation():
-    """Root (2, pc_idx, snr_idx, replicate) splits into 5 children, then devices."""
-    streams = rng.run_streams(5, 7, 2, grid_path=(1, 3))
+    """Root (2, pc_idx, snr_idx, replicate) splits into 5 children, then devices.
 
-    root = np.random.SeedSequence(5, spawn_key=(2, 1, 3, 7))
-    flags_s, common_s, channel_s, gains_s, devices_s = root.spawn(5)
-
+    The spawn tree is the oracle; ``run_streams`` builds each leaf's key directly.
+    """
     def gen(seq):
         return np.random.Generator(np.random.Philox(seq))
 
-    assert np.array_equal(streams.flags.random(4), gen(flags_s).random(4))
-    assert np.array_equal(streams.common.standard_normal(4), gen(common_s).standard_normal(4))
-    assert np.array_equal(streams.channel.standard_normal(4), gen(channel_s).standard_normal(4))
-    assert np.array_equal(streams.gains.standard_normal(4), gen(gains_s).standard_normal(4))
+    for seed in (5, 1323755283):
+        streams = rng.run_streams(seed, 7, 3, grid_path=(1, 3))
+        root = np.random.SeedSequence(seed, spawn_key=(2, 1, 3, 7))
+        flags_s, common_s, channel_s, gains_s, devices_s = root.spawn(5)
 
-    for k, dev in enumerate(devices_s.spawn(2)):
-        b, n = dev.spawn(2)
-        assert np.array_equal(streams.batch[k].random(4), gen(b).random(4))
-        assert np.array_equal(streams.noise[k].standard_normal(4), gen(n).standard_normal(4))
+        assert np.array_equal(streams.flags.random(4), gen(flags_s).random(4))
+        assert np.array_equal(streams.common.standard_normal(4), gen(common_s).standard_normal(4))
+        assert np.array_equal(streams.channel.standard_normal(4),
+                              gen(channel_s).standard_normal(4))
+        assert np.array_equal(streams.gains.standard_normal(4), gen(gains_s).standard_normal(4))
+
+        assert len(streams.batch) == len(streams.noise) == 3
+        for k, dev in enumerate(devices_s.spawn(3)):
+            b, n = dev.spawn(2)
+            assert np.array_equal(streams.batch[k].random(4), gen(b).random(4))
+            assert np.array_equal(streams.noise[k].standard_normal(4), gen(n).standard_normal(4))
 
 
 def test_block_draw_equals_sequential_draws():
