@@ -20,7 +20,7 @@ import numpy as np
 from .channel import ProtocolError
 from .harness import (ConfigurationError, FIGURES, ITERATION_COLUMNS,
                       bound_skip_reason, build_dataset, build_run_config,
-                      build_sweep_spec, emit_plotdata, evaluate, parse_config,
+                      build_sweep_spec, config_record, emit_plotdata, evaluate, parse_config,
                       plotdata_csv, run_sweep, write_csv)
 from .model import exact_posterior
 from .protocol import run
@@ -64,10 +64,7 @@ def _cmd_run(args) -> int:
     bound_note = bound_skip_reason(result)
 
     os.makedirs(args.output, exist_ok=True)
-    cfg_dict = dataclasses.asdict(result.config)
-    cfg_dict["theta_star"] = list(map(float, result.config.theta_star))
-    cfg_dict["seed_path"] = list(result.config.seed_path)
-    payload = {"config": cfg_dict, "summary": summary,
+    payload = {"config": config_record(result.config), "summary": summary,
                "bound_note": bound_note,
                "region_radius": result.region_radius,
                "constants": {

@@ -25,6 +25,7 @@ import hashlib
 import io
 import json
 import os
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -90,48 +91,78 @@ def build_test_set(config: RunConfig, theta_star: np.ndarray,
 
 # -------------------------------------------------------- config parsing --- #
 
-_INT_KEYS = {"k", "dim", "n_samples", "s_total", "s_burn", "master_seed",
-             "replicates", "thin_stride", "sweep.replicates"}
-_FLOAT_KEYS = {"eta", "p_c", "p_b", "power", "gain_value", "noise_std"}
-_OPT_FLOAT_KEYS = {"snr_db", "region_radius", "tau_override"}
-_BOOL_KEYS = {"store_device_trajectories", "store_batch_indices"}
-_OPT_BOOL_KEYS = {"force_final_agg"}
+
+@dataclass
+class SweepSpec:
+    """A grid of runs sharing one base configuration."""
+
+    base: RunConfig
+    pc_grid: tuple
+    snr_db_grid: tuple
+    algorithms: tuple
+    replicates: int
+
+    def validate(self):
+        for a in self.algorithms:
+            if a not in ALGORITHMS:
+                raise ConfigurationError(f"unknown algorithm in sweep: {a!r}")
+        for p in self.pc_grid:
+            if not 0 < p <= 1:
+                raise ConfigurationError(f"sweep p_c value out of range: {p}")
+        if self.replicates < 1:
+            raise ConfigurationError("sweep.replicates must be at least 1")
+        if not self.pc_grid or not self.snr_db_grid or not self.algorithms:
+            raise ConfigurationError("sweep grids and sweep.algorithms must be non-empty")
+        for config in sweep_configs(self):
+            try:
+                config.validate()
+            except ValueError as exc:
+                raise ConfigurationError(f"sweep point {config.algorithm}: {exc}") from None
+
+
 #: comma lists, each mapped to the key whose grammar its items follow
 _LIST_KEYS = {"theta_star": "eta", "sweep.pc_grid": "p_c", "sweep.snr_db_grid": "snr_db",
               "sweep.algorithms": "algorithm"}
-_SWEEP_KEYS = {"sweep.pc_grid", "sweep.snr_db_grid", "sweep.algorithms", "sweep.replicates"}
 _NONE_TOKENS = {"none", "null", "noiseless"}
 
 
-def _convert(key: str, text: str):
-    text = text.strip()
-    if key in _INT_KEYS:
-        return int(text)
-    if key in _FLOAT_KEYS:
-        return float(text)
-    if key in _OPT_FLOAT_KEYS:
-        return None if text.lower() in _NONE_TOKENS else float(text)
-    if key in _BOOL_KEYS or key in _OPT_BOOL_KEYS:
-        low = text.lower()
-        if key in _OPT_BOOL_KEYS and low in _NONE_TOKENS:
-            return None
-        if low in ("true", "yes", "1"):
-            return True
-        if low in ("false", "no", "0"):
-            return False
-        raise ValueError(f"not a boolean: {text!r}")
+def _parse_bool(text: str) -> bool:
+    low = text.lower()
+    if low in ("true", "yes", "1"):
+        return True
+    if low in ("false", "no", "0"):
+        return False
+    raise ValueError(f"not a boolean: {text!r}")
+
+
+def _parser(key: str, hint):
+    """Parser of one key's stripped text: a comma list, or its annotation ``X`` or ``X | None``."""
     if key in _LIST_KEYS:
-        items = tuple(_convert(_LIST_KEYS[key], t) for t in text.split(",") if t.strip())
-        if key == "theta_star":
-            # an empty vector keeps the default coefficients
-            return np.array(items) if items else None
-        return items
-    return text
+        def parse_list(text):
+            items = tuple(_PARSERS[_LIST_KEYS[key]](t.strip()) for t in text.split(",") if t.strip())
+            if key == "theta_star":
+                # an empty vector keeps the default coefficients
+                return np.array(items) if items else None
+            return items
+        return parse_list
+    scalar = {int: int, float: float, str: str, bool: _parse_bool}
+    kinds = [t for t in typing.get_args(hint) if t is not type(None)]
+    if not kinds:
+        return scalar[hint]
+    parse = scalar[kinds[0]]
+    return lambda text: None if text.lower() in _NONE_TOKENS else parse(text)
+
+
+_HINTS = {**typing.get_type_hints(RunConfig),
+          **{f"sweep.{name}": hint for name, hint in typing.get_type_hints(SweepSpec).items()}}
+#: every settable key and its parser, from the RunConfig and SweepSpec annotations
+_PARSERS = {key: _parser(key, hint) for key, hint in _HINTS.items()
+            if key not in ("seed_path", "sweep.base")}
 
 
 def _parse_scalar(key: str, text: str):
     try:
-        return _convert(key, text)
+        return _PARSERS[key](text.strip())
     except ValueError as exc:
         raise ConfigurationError(f"bad value for {key}: {exc}") from None
 
@@ -165,15 +196,13 @@ def parse_config(path: str | None = None, overrides: list[str] | None = None) ->
 
 
 def build_run_config(raw: dict) -> RunConfig:
-    """Resolve raw key/value strings into a validated RunConfig."""
-    known = {f.name for f in dataclasses.fields(RunConfig)} - {"seed_path"}
+    """Resolve raw key/value strings into a validated RunConfig; sweep keys are skipped."""
     kwargs = {}
     for key, text in raw.items():
-        if key in _SWEEP_KEYS:
-            continue
-        if key not in known:
+        if key not in _PARSERS:
             raise ConfigurationError(f"unknown config key: {key}")
-        kwargs[key] = _parse_scalar(key, text)
+        if not key.startswith("sweep."):
+            kwargs[key] = _parse_scalar(key, text)
     config = RunConfig(**kwargs)
     try:
         config.validate()
@@ -182,44 +211,23 @@ def build_run_config(raw: dict) -> RunConfig:
     return config
 
 
-@dataclass
-class SweepSpec:
-    """A grid of runs sharing one base configuration."""
-
-    base: RunConfig
-    pc_grid: tuple
-    snr_db_grid: tuple
-    algorithms: tuple
-    replicates: int
-
-    def validate(self):
-        for a in self.algorithms:
-            if a not in ALGORITHMS:
-                raise ConfigurationError(f"unknown algorithm in sweep: {a!r}")
-        for p in self.pc_grid:
-            if not 0 < p <= 1:
-                raise ConfigurationError(f"sweep p_c value out of range: {p}")
-        if self.replicates < 1:
-            raise ConfigurationError("sweep.replicates must be at least 1")
-        if not self.pc_grid or not self.snr_db_grid or not self.algorithms:
-            raise ConfigurationError("sweep grids and sweep.algorithms must be non-empty")
-        for config in sweep_configs(self):
-            try:
-                config.validate()
-            except ValueError as exc:
-                raise ConfigurationError(f"sweep point {config.algorithm}: {exc}") from None
-
-
 def build_sweep_spec(raw: dict) -> SweepSpec:
     base = build_run_config(raw)
-    sweep = {key: _parse_scalar(key, text) for key, text in raw.items() if key in _SWEEP_KEYS}
-    spec = SweepSpec(base=base,
-                     pc_grid=sweep.get("sweep.pc_grid", (base.p_c,)),
-                     snr_db_grid=sweep.get("sweep.snr_db_grid", (base.snr_db,)),
-                     algorithms=sweep.get("sweep.algorithms", (base.algorithm,)),
-                     replicates=sweep.get("sweep.replicates", base.replicates))
+    sweep = {key.removeprefix("sweep."): _parse_scalar(key, text)
+             for key, text in raw.items() if key.startswith("sweep.")}
+    spec = SweepSpec(base=base, **{"pc_grid": (base.p_c,), "snr_db_grid": (base.snr_db,),
+                                   "algorithms": (base.algorithm,),
+                                   "replicates": base.replicates, **sweep})
     spec.validate()
     return spec
+
+
+def config_record(config: RunConfig) -> dict:
+    """A config as JSON-ready plain values, the echo in summary.json and manifest.json."""
+    record = dataclasses.asdict(config)
+    record["theta_star"] = None if config.theta_star is None else list(map(float, config.theta_star))
+    record["seed_path"] = list(config.seed_path)
+    return record
 
 
 # ------------------------------------------------------------- summaries --- #
@@ -410,7 +418,7 @@ def sweep_configs(spec: SweepSpec) -> list[RunConfig]:
             spec.base, algorithm=algo,
             p_c=spec.base.p_c if pc is None else pc,
             snr_db=snr, replicates=spec.replicates, seed_path=path,
-            store_device_trajectories=False, store_batch_indices=False))
+            store_batch_indices=False))
     return configs
 
 
@@ -447,11 +455,8 @@ def run_sweep(spec: SweepSpec, output_dir: str, workers: int = 1) -> list[dict]:
 
 
 def sweep_manifest(spec: SweepSpec) -> dict:
-    base = dataclasses.asdict(spec.base)
-    base["theta_star"] = None if spec.base.theta_star is None else list(map(float, spec.base.theta_star))
-    base["seed_path"] = list(spec.base.seed_path)
     payload = {
-        "base_config": base,
+        "base_config": config_record(spec.base),
         "pc_grid": list(spec.pc_grid),
         "snr_db_grid": [None if s is None else s for s in spec.snr_db_grid],
         "algorithms": list(spec.algorithms),

@@ -123,8 +123,6 @@ class RunConfig:
     region_radius: float | None = None
     tau_override: float | None = None
     force_final_agg: bool | None = None
-    store_device_trajectories: bool = False
-    thin_stride: int = 1
     store_batch_indices: bool = False
     seed_path: tuple = (0, 0)
 
@@ -132,11 +130,10 @@ class RunConfig:
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; expected one of {ALGORITHMS}")
         # range checks below are comparisons, which NaN passes
-        for name in ("eta", "p_c", "p_b", "snr_db", "power", "gain_value", "noise_std",
-                     "region_radius", "tau_override"):
-            value = getattr(self, name)
-            if value is not None and not np.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if isinstance(value, float) and not np.isfinite(value):
+                raise ValueError(f"{field.name} must be finite, got {value}")
         if self.theta_star is not None and not np.isfinite(self.theta_star).all():
             raise ValueError("theta_star must be finite")
         if self.master_seed < 0:
@@ -159,8 +156,6 @@ class RunConfig:
             raise ValueError(f"burn-in {self.s_burn} must lie in [0, s_total)")
         if self.replicates < 1:
             raise ValueError("need at least one replicate")
-        if self.thin_stride < 1:
-            raise ValueError("thin_stride must be at least 1")
         if self.tau_override is not None:
             if self.algorithm != "FALD":
                 raise ValueError("tau_override is only meaningful for FALD")
@@ -220,8 +215,6 @@ class RunResult:
     alpha: np.ndarray
     power_use: np.ndarray
     final_agg_forced: bool
-    device_traj: np.ndarray | None = None
-    stored_iterations: np.ndarray | None = None
     batch_indices: list | None = None
 
 
@@ -469,7 +462,7 @@ def _over_the_air(config: RunConfig, chan: ChannelConfig, win: _Window, i: int, 
 
 
 def _advance(config: RunConfig, chan: ChannelConfig, groups, A_global, b_global,
-             tape: _Tape, windows, stop: int, out: RunResult, stored_pos: dict):
+             tape: _Tape, windows, stop: int, out: RunResult):
     """Run a tape's block of replicates through rounds [0, stop) of its ``windows``.
 
     Writes the block's rows of ``out``.  Returns None, or (round, message) of
@@ -542,9 +535,6 @@ def _advance(config: RunConfig, chan: ChannelConfig, groups, A_global, b_global,
             avg_traj[:, s + 1] = avg
             if s + 1 > config.s_burn:
                 mean_acc += thetas
-            pos = stored_pos.get(s + 1)
-            if pos is not None:
-                out.device_traj[rows, pos] = thetas
 
     out.flags[rows] = tape.flags
     out.device_mean[rows] = mean_acc / config.s_use
@@ -602,12 +592,6 @@ def run(config: RunConfig, data: Dataset) -> RunResult:
         power_use=np.full((R, S), np.nan),
         final_agg_forced=force_final,
     )
-    stored_pos = {}
-    if config.store_device_trajectories:
-        stored = sorted(set(range(0, S + 1, config.thin_stride)) | {S})
-        stored_pos = {it: i for i, it in enumerate(stored) if it > 0}
-        result.stored_iterations = np.array(stored)
-        result.device_traj = np.zeros((R, len(stored), K, d))
     if config.store_batch_indices:
         result.batch_indices = [
             [None if g.samples is None
@@ -627,7 +611,7 @@ def run(config: RunConfig, data: Dataset) -> RunResult:
         windows = _windows(helper, tapes, lambda: stop)
         for tape, block in itertools.groupby(windows, key=operator.itemgetter(0)):
             found = _advance(config, chan, groups, A_global, b_global, tape,
-                             (window for _, window in block), stop, result, stored_pos)
+                             (window for _, window in block), stop, result)
             if found is not None:
                 stop, failure = found
     if failure is not None:

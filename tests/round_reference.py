@@ -78,14 +78,20 @@ def fald_round(thetas: np.ndarray, shards, streams, eta: float, p_b: float, p_c:
 
 
 def replay_fald(config, data, replicate: int = 0):
-    """Replay one replicate of a FALD run: (flags, device-average trajectory, final particles)."""
+    """Replay one replicate of a FALD run.
+
+    Returns the flags, the device-average trajectory, the final particles and
+    each device's time average over the post-burn-in rounds s_burn + 1..S.
+    """
     shards = partition_even(data, config.k)
     streams = run_streams(config.master_seed, replicate, config.k, config.seed_path)
     thetas = np.zeros((config.k, config.dim))
-    flags, avg = [], [thetas.mean(axis=0)]
-    for _ in range(config.s_total):
+    flags, avg, tail = [], [thetas.mean(axis=0)], []
+    for s in range(1, config.s_total + 1):
         agg = fald_round(thetas, shards, streams, config.eta, config.p_b, config.p_c,
                          config.tau_override)
         flags.append(agg is not None)
         avg.append(thetas.mean(axis=0))
-    return np.array(flags), np.array(avg), thetas
+        if s > config.s_burn:
+            tail.append(thetas.copy())
+    return np.array(flags), np.array(avg), thetas, np.mean(tail, axis=0)

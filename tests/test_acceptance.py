@@ -30,7 +30,7 @@ from wfald.protocol import RunConfig, run
 @pytest.fixture(scope="module")
 def bench():
     """The d = 5 reference problem: config, dataset, exact posterior."""
-    cfg = RunConfig(store_device_trajectories=False)
+    cfg = RunConfig()
     data = build_dataset(cfg)
     return cfg, data, exact_posterior(data)
 

@@ -51,6 +51,13 @@ def test_unknown_key_is_a_configuration_error(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["store_device_trajectories", "thin_stride"])
+def test_removed_storage_keys_are_unknown(key, tmp_path, capsys):
+    code = main(["run", "--set", f"{key}=1", "--output", str(tmp_path)])
+    assert code == 1
+    assert f"configuration error: unknown config key: {key}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["run", "--set", "gain_model=foo"],
     ["run", "--set", "gain_value=0"],

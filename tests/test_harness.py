@@ -2,11 +2,13 @@
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
 from wfald.harness import (
+    _PARSERS,
     FIGURES,
     RESULT_COLUMNS,
     ConfigurationError,
@@ -80,6 +82,15 @@ class TestConfigParsing:
     def test_theta_star_list(self):
         cfg = build_run_config(SMALL)
         np.testing.assert_allclose(cfg.theta_star, [1.0, -2.0])
+
+    def test_readme_lists_exactly_the_parseable_keys(self):
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(readme, encoding="utf-8") as fh:
+            text = fh.read().split("## Config grammar", 1)[1].split("\n## ", 1)[0]
+        table = re.findall(r"^\| `([\w.]+)` \|", text, flags=re.MULTILINE)
+        sweep = re.findall(r"`(sweep\.\w+)`", text)
+        assert sorted(table) == sorted(k for k in _PARSERS if not k.startswith("sweep."))
+        assert sorted(set(sweep)) == sorted(k for k in _PARSERS if k.startswith("sweep."))
 
     def test_typed_fields(self):
         cfg = build_run_config({**SMALL, "store_batch_indices": "yes",

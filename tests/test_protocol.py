@@ -54,10 +54,12 @@ def test_engine_matches_round_by_round_reference(settings, replicate):
     cfg = small_config(s_total=8, s_burn=2, **settings)
     data = build_dataset(cfg)
     engine = run(cfg, data)
-    flags, avg_traj, thetas = replay_fald(cfg, data, replicate)
+    flags, avg_traj, thetas, device_mean = replay_fald(cfg, data, replicate)
     assert np.array_equal(engine.flags[replicate], flags)
     np.testing.assert_allclose(engine.avg_traj[replicate], avg_traj, rtol=1e-10, atol=1e-13)
     np.testing.assert_allclose(engine.theta_final[replicate], thetas, rtol=1e-10, atol=1e-13)
+    np.testing.assert_allclose(engine.device_mean[replicate], device_mean,
+                               rtol=1e-10, atol=1e-13)
 
 
 def test_sgld_is_single_device_fald():
@@ -177,10 +179,10 @@ def test_earliest_failing_round_is_reported(monkeypatch, block):
 def test_outputs_are_bitwise_invariant_under_block_and_window(monkeypatch, settings):
     rayleigh = dict(snr_db=5.0, gain_model="rayleigh") if settings["algorithm"] != "SGLD" else {}
     cfg = small_config(**{**rayleigh, **settings}, replicates=5, n_samples=14,
-                       store_device_trajectories=True, store_batch_indices=True)
+                       store_batch_indices=True)
     data = build_dataset(cfg)
     fields = ("flags", "avg_traj", "device_mean", "theta_final", "v_theta", "v_c",
-              "beta", "alpha", "power_use", "device_traj")
+              "beta", "alpha", "power_use")
     outputs = []
     pairs = ((1, 1), (2, 5), (1000, 1000),
              (protocol.REPLICATE_BLOCK, protocol.TAPE_WINDOW),
@@ -284,33 +286,6 @@ def test_channel_round_accessors():
     assert (res.power_use[0][flags] <= 1.0 + 1e-9).all()
     # at 5 dB the noise cap binds before the power budget on at least one round
     assert (res.beta[0][flags] >= 0).all()
-
-
-def test_device_mean_matches_stored_trajectory():
-    cfg = small_config(algorithm="WFALD", s_total=16, s_burn=6, replicates=2,
-                       store_device_trajectories=True)
-    res = run(cfg, build_dataset(cfg))
-    for r in range(cfg.replicates):
-        tail = res.device_traj[r][cfg.s_burn + 1:]
-        np.testing.assert_allclose(res.device_mean[r], tail.mean(axis=0),
-                                   rtol=1e-12, atol=1e-14)
-
-
-def test_thinned_storage_keeps_endpoints():
-    cfg = small_config(s_total=11, s_burn=2, thin_stride=4, store_device_trajectories=True)
-    res = run(cfg, build_dataset(cfg))
-    assert list(res.stored_iterations) == [0, 4, 8, 11]
-    assert res.device_traj.shape == (1, 4, cfg.k, cfg.dim)
-    np.testing.assert_array_equal(res.device_traj[0, -1].mean(axis=0),
-                                  res.avg_traj[0, -1])
-
-
-def test_trajectory_storage_can_be_disabled():
-    cfg = small_config()
-    assert not cfg.store_device_trajectories
-    res = run(cfg, build_dataset(cfg))
-    assert res.device_traj is None
-    assert res.stored_iterations is None
 
 
 class TestConfigValidation:
