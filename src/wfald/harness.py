@@ -352,12 +352,12 @@ def evaluate(config: RunConfig) -> tuple[RunResult, dict, list[dict]]:
 
     The one path from a config to its summaries, for ``wfald run`` and every
     sweep point.  The run's config records the coefficients its dataset was
-    drawn with, and the test sets follow the config the run reports (SGLD's
-    has a single device).
+    drawn with.  The test sets follow ``config``, so SGLD, whose run has a
+    single device, is scored on the same K per-device sets as the others.
     """
     data = build_dataset(config)
     result = run(dataclasses.replace(config, theta_star=data.theta_star), data)
-    test_u, test_v = build_test_set(result.config, data.theta_star)
+    test_u, test_v = build_test_set(config, data.theta_star)
     summary, table = summarize_run(result, exact_posterior(data), test_u, test_v)
     return result, summary, table
 
