@@ -102,16 +102,19 @@ def contraction_gamma(eta: float, strong_convexity: float, smoothness: float) ->
     """Per-step contraction factor of the Langevin recursion on the benchmark.
 
     Valid for step sizes up to 2/smoothness; below 2/(mu + L) the factor is
-    1 - eta mu, between the two thresholds it is eta L - 1.
+    1 - eta mu, between the two thresholds it is eta L - 1.  A factor that
+    rounds to 1 contracts nothing and is a ValueError, like a step too large.
     """
     mu, L = strong_convexity, smoothness
     if eta <= 0:
         raise ValueError("step size must be positive")
-    if eta <= 2.0 / (mu + L):
-        return 1.0 - eta * mu
-    if eta <= 2.0 / L:
-        return eta * L - 1.0
-    raise ValueError(f"step size {eta} exceeds 2/smoothness = {2.0 / L:.6g}; no contraction guarantee")
+    if eta > 2.0 / L:
+        raise ValueError(f"step size {eta} exceeds 2/smoothness = {2.0 / L:.6g}; no contraction guarantee")
+    gamma = 1.0 - eta * mu if eta <= 2.0 / (mu + L) else eta * L - 1.0
+    if gamma >= 1.0:
+        raise ValueError(f"step size {eta} gives a contraction factor that rounds to 1; "
+                         "the bound is infinite")
+    return gamma
 
 
 @dataclass

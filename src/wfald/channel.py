@@ -82,10 +82,14 @@ class ChannelConfig:
     def from_snr_db(cls, snr_db: float | None, block_dim: int, power: float = 1.0,
                     **kwargs) -> "ChannelConfig":
         """Channel with noise level set from an SNR in dB (None = noiseless)."""
-        if snr_db is None:
-            noise_level = 0.0
-        else:
-            noise_level = power / (block_dim * 10.0 ** (snr_db / 10.0))
+        noise_level = 0.0
+        if snr_db is not None:
+            try:
+                noise_level = power / (block_dim * 10.0 ** (snr_db / 10.0))
+            except (OverflowError, ZeroDivisionError):
+                noise_level = float("nan")
+            if not 0.0 < noise_level < np.inf:
+                raise ValueError(f"snr_db = {snr_db} gives no positive, finite noise level")
         return cls(power=power, noise_level=noise_level, block_dim=block_dim, **kwargs)
 
     def draw_gains(self, size, rng: np.random.Generator) -> np.ndarray:

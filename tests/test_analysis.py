@@ -89,6 +89,12 @@ class TestContractionFactor:
         with pytest.raises(ValueError):
             contraction_gamma(0.0, 2.0, 4.0)
 
+    def test_rejects_factors_that_round_to_one(self):
+        # 1 - 1e-18 * 2 and 0.5 * 4 - 1 are both exactly 1.0 in floating point
+        for eta in (1e-18, 0.5):
+            with pytest.raises(ValueError, match="rounds to 1"):
+                contraction_gamma(eta, 2.0, 4.0)
+
 
 def unit_bound_inputs(beta):
     return BoundInputs(smoothness=1.0, strong_convexity=1.0, grad_bound=0.0,

@@ -75,9 +75,14 @@ def test_removed_storage_keys_are_unknown(key, tmp_path, capsys):
     ["run", "--set", "eta=inf"],
     ["run", "--set", "power=inf"],
     ["sweep", *SMALL_ARGS, "--set", "sweep.snr_db_grid=20, nan"],
+    ["run", "--set", "snr_db=4000"],
+    ["run", "--set", "snr_db=-4000"],
+    ["sweep", *SMALL_ARGS, "--set", "sweep.snr_db_grid=20, 4000"],
+    ["sweep", *SMALL_ARGS, "--set", "sweep.snr_db_grid=-4000"],
 ], ids=["gain_model", "gain_value", "theta_star_length", "sweep_replicates", "snr_grid",
         "pc_grid", "no_algorithms", "sweep_workers_key", "workers_0", "workers_negative",
-        "negative_seed", "nan_noise_std", "nan_snr", "inf_eta", "inf_power", "nan_snr_grid"])
+        "negative_seed", "nan_noise_std", "nan_snr", "inf_eta", "inf_power", "nan_snr_grid",
+        "huge_snr", "tiny_snr", "huge_snr_grid", "tiny_snr_grid"])
 def test_bad_values_exit_1_without_traceback(argv, tmp_path, capsys):
     assert main([*argv, "--output", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
@@ -111,6 +116,17 @@ def test_step_beyond_contraction_range_skips_the_bound(tmp_path, capsys):
     assert np.isnan(payload["summary"]["bound_final_mean"])
     assert "exceeds 2/smoothness" in payload["bound_note"]
     assert "\n" not in payload["bound_note"]
+
+
+def test_step_too_small_to_contract_skips_the_bound(tmp_path, capsys):
+    """At eta=1e-18 the contraction factor 1 - eta * mu rounds to exactly 1."""
+    out = tmp_path / "run_out"
+    code = main(["run", *SMALL_ARGS, "--set", "eta=1e-18", "--output", str(out)])
+    assert code == 0
+    assert "Traceback" not in capsys.readouterr().err
+    payload = json.loads((out / "summary.json").read_text())
+    assert np.isnan(payload["summary"]["bound_final_mean"])
+    assert "rounds to 1" in payload["bound_note"]
 
 
 def test_collapsed_common_gain_is_a_protocol_failure(tmp_path, capsys):
