@@ -4,8 +4,9 @@ Config grammar
 --------------
 Plain text, one ``key = value`` per line, ``#`` starts a comment.  Run keys
 use the bare RunConfig field names (``eta = 3e-3``, ``snr_db = 20`` or
-``snr_db = none``); sweep keys carry a ``sweep.`` prefix.  Grid values are
-comma separated.  The same ``key=value`` strings can be passed as command
+``snr_db = none``); sweep keys carry a ``sweep.`` prefix on SweepSpec field
+names.  A value is read as its field's annotation says; grid values and
+``theta_star`` are comma separated.  The same ``key=value`` strings can be passed as command
 line overrides, which win over the file.
 
 Output contracts
@@ -149,7 +150,7 @@ def _parser(key: str, hint):
     kinds = [t for t in typing.get_args(hint) if t is not type(None)]
     if not kinds:
         return scalar[hint]
-    parse = scalar[kinds[0]]
+    parse = scalar[kinds[0]]  # X | None
     return lambda text: None if text.lower() in _NONE_TOKENS else parse(text)
 
 
@@ -215,9 +216,9 @@ def build_sweep_spec(raw: dict) -> SweepSpec:
     base = build_run_config(raw)
     sweep = {key.removeprefix("sweep."): _parse_scalar(key, text)
              for key, text in raw.items() if key.startswith("sweep.")}
-    spec = SweepSpec(base=base, **{"pc_grid": (base.p_c,), "snr_db_grid": (base.snr_db,),
-                                   "algorithms": (base.algorithm,),
-                                   "replicates": base.replicates, **sweep})
+    defaults = dict(pc_grid=(base.p_c,), snr_db_grid=(base.snr_db,),
+                    algorithms=(base.algorithm,), replicates=base.replicates)
+    spec = SweepSpec(base=base, **{**defaults, **sweep})
     spec.validate()
     return spec
 
