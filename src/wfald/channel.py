@@ -168,13 +168,18 @@ def residual_noise_power(alpha, noise_level: float, eta: float, k_total: int):
     is exact in real arithmetic; remnants within a few ulps of the target are
     rounding noise and snap to zero.
     """
+    if noise_level == 0:
+        # no noise to rescale, however small alpha is
+        return np.zeros(np.shape(alpha))[()]
     target = 2.0 * eta / k_total
     excess = noise_level / (np.asarray(alpha, dtype=float) * k_total) ** 2 - target
     return np.where(excess <= 16.0 * np.finfo(float).eps * target, 0.0, excess)[()]
 
 
-def check_power(signals: np.ndarray, power: float) -> np.ndarray:
-    """Boolean per-device feasibility ||x_k||^2 <= power (tiny float slack)."""
-    signals = np.atleast_2d(np.asarray(signals, dtype=float))
-    sq = np.sum(signals * signals, axis=-1)
-    return sq <= power * (1.0 + 1e-9) + 1e-300
+def check_power(sq_norms: np.ndarray, power: float) -> np.ndarray:
+    """Boolean per-device feasibility ||x_k||^2 <= power (tiny float slack).
+
+    Takes the squared norms ||x_k||^2, shape (..., K), which the caller also
+    reports as the round's power use.
+    """
+    return np.asarray(sq_norms, dtype=float) <= power * (1.0 + 1e-9) + 1e-300

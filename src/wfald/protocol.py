@@ -31,16 +31,20 @@ restores the Langevin noise.  It then draws each of those streams
 it, so memory stays bounded by the block and the window, not by the run.
 
 Threads.  :func:`run` owns one helper thread for its duration and joins it
-before it returns or raises.  The calling thread derives the streams, draws
-the flags and the fading gains, and runs the recurrence; the helper draws a
-window's batch keys and their ``argpartition``, the Langevin noise and the
-receiver noise, and marks its near-zero gains.  The helper draws one window
-ahead, the next block's first after a block's last, so its numpy calls,
-which release the interpreter lock, overlap the recurrence.  Each stream is
-read by one thread only and windows are consumed in round order, so the
-draws are those of a serial run.  Public functions (the ones a profiler
-wraps) and arithmetic that can overflow stay on the calling thread, whose
-``np.errstate`` governs them.
+before it returns or raises.  The calling thread derives each block's
+streams in one :func:`wfald.rng.run_streams` call, which hashes every
+stream's Philox key in a few vectorized steps before it builds the
+generators; it also draws the flags and the fading gains and runs the
+recurrence.  The helper draws a window's batch keys and their
+``argpartition``, the Langevin noise and the receiver noise, and marks its
+near-zero gains.  It draws one window ahead, the next block's first after a
+block's last, so its numpy calls, which release the interpreter lock,
+overlap the recurrence.  Each stream is read by one thread only and windows
+are consumed in round order, so the draws are those of a serial run.
+Public functions (the ones a profiler wraps) and arithmetic that can
+overflow stay on the calling thread, whose ``np.errstate`` governs them; the
+one exception is the residual noise power, whose overflow the engine
+reports as a failure naming the channel gain.
 
 Invariance.  Philox streams are counter based, so a stream drawn in blocks of
 any size yields exactly the values per-round draws yield (pinned by
@@ -150,6 +154,13 @@ class RunConfig:
             raise ValueError(f"aggregation probability must be in (0, 1], got {self.p_c}")
         if not 0 < self.p_b <= 1:
             raise ValueError(f"batch fraction must be in (0, 1], got {self.p_b}")
+        # below half a sample the batch floors at one, and the 1/p_b gradient
+        # rescale would overstate it by 1/(p_b n)
+        shard = self.n_samples if self.algorithm == "SGLD" else self.n_samples // self.k
+        if self.p_b * shard < 0.5:
+            raise ValueError(f"batch fraction {self.p_b} leaves p_b * n = {self.p_b * shard:.3g} "
+                             f"< 0.5 samples of a {shard}-sample shard, so the mini-batch "
+                             "would floor at one sample")
         if self.s_total < 1:
             raise ValueError("need at least one iteration")
         if not 0 <= self.s_burn < self.s_total:
@@ -297,8 +308,8 @@ class _Tape:
                  count: int, force_final: bool, batch_out: list | None):
         self.config, self.chan, self.groups = config, chan, groups
         self.replicates = range(first, first + count)
-        self.streams = [_rng.run_streams(config.master_seed, r, config.k, config.seed_path)
-                        for r in self.replicates]
+        self.streams = _rng.run_streams(config.master_seed, self.replicates, config.k,
+                                        config.seed_path)
         self.flags = np.stack([st.flags.random(config.s_total) < config.p_c
                                for st in self.streams])
         if force_final:
@@ -441,22 +452,38 @@ def _over_the_air(config: RunConfig, chan: ChannelConfig, win: _Window, i: int, 
                          f"at round {s} of replicate {reps[b]}; the step size is likely "
                          "too large for this problem"))
         alpha = np.where(collapsed, 1.0, alpha)
+    # the receiver scales its noise by 1/(K alpha), so a tiny gain can push
+    # the residual noise power past the float range
+    with np.errstate(divide="ignore", over="ignore"):
+        beta = residual_noise_power(alpha, chan.noise_level, eta, K)
+    overflowed = beta.max() == np.inf
+    if overflowed:
+        unbounded = np.isinf(beta)
+        b = int(np.argmax(unbounded))
+        k = int(np.argmin(gains[b]))
+        failures.append((reps[b], 2, f"common gain {alpha[b]:.3g} at round {s} of replicate "
+                         f"{reps[b]} overflows the receiver's rescaled noise power; the "
+                         f"round's smallest channel gain |h_k| is {gains[b, k]:.3e} "
+                         f"(device {k})"))
     signals = (alpha[:, None] / gains)[..., None] * payloads
-    ok = check_power(signals, power)
     sq = np.sum(signals * signals, axis=2)
+    ok = check_power(sq, power)
     if not ok.all():
         b = int(np.argmin(ok.all(axis=1)))
         k = int(np.argmin(ok[b]))
-        failures.append((reps[b], 2, f"transmit power violated by device {k} at round {s} "
+        failures.append((reps[b], 3, f"transmit power violated by device {k} at round {s} "
                          f"of replicate {reps[b]}: ||x||^2 = {sq[b, k]:.6g} > {power}"))
     y, _ = noma_superpose(signals, gains, win.noise[i][sel], chan.noise_level)
+    if overflowed:
+        # the round fails; keep the division by K alpha in range meanwhile
+        alpha = np.where(unbounded, 1.0, alpha)
     received = receive_aggregate(y, alpha, K)
     if win.restore is not None:
         # a noiseless channel cannot supply the Langevin noise the receiver
         # normally repurposes; restore it at full strength
         received = received + np.sqrt(2.0 * eta / K) * win.restore[i][sel]
     out.alpha[reps, s] = alpha
-    out.beta[reps, s] = residual_noise_power(alpha, chan.noise_level, eta, K)
+    out.beta[reps, s] = beta
     out.power_use[reps, s] = sq.max(axis=1) / power
     return received
 
@@ -524,7 +551,7 @@ def _advance(config: RunConfig, chan: ChannelConfig, groups, A_global, b_global,
                 bad = ~np.isfinite(new).all(axis=2)
                 if bad.any():
                     b = int(np.argmax(bad.any(axis=1)))
-                    failures.append((block[b], 3, f"non-finite particle on device "
+                    failures.append((block[b], 4, f"non-finite particle on device "
                                      f"{int(np.argmax(bad[b]))} at round {s} of replicate "
                                      f"{block[b]}; the step size is likely too large for "
                                      "this problem"))

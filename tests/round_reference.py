@@ -84,7 +84,8 @@ def replay_fald(config, data, replicate: int = 0):
     each device's time average over the post-burn-in rounds s_burn + 1..S.
     """
     shards = partition_even(data, config.k)
-    streams = run_streams(config.master_seed, replicate, config.k, config.seed_path)
+    [streams] = run_streams(config.master_seed, range(replicate, replicate + 1), config.k,
+                            config.seed_path)
     thetas = np.zeros((config.k, config.dim))
     flags, avg, tail = [], [thetas.mean(axis=0)], []
     for s in range(1, config.s_total + 1):

@@ -94,7 +94,7 @@ class TestPowerGain:
             alpha = power_gain(payloads, gains, power, rng.uniform(0, 2),
                                eta=1e-2, k_total=4)
             signals = (alpha / gains)[:, None] * payloads
-            assert check_power(signals, power).all()
+            assert check_power(np.sum(signals * signals, axis=-1), power).all()
 
 
 def test_receive_aggregate_hand_case():
@@ -116,6 +116,11 @@ def test_residual_noise_snaps_float_remnants_to_zero():
 
 def test_residual_noise_positive_when_power_limited():
     assert residual_noise_power(1.0, 8.0, 0.5, 2) == pytest.approx(1.5)
+
+
+def test_noiseless_residual_is_zero_for_any_gain():
+    """(alpha K)^2 underflows to 0 here; a noiseless channel still has no excess."""
+    assert residual_noise_power(np.array([1e-300, 1.0]), 0.0, 0.5, 2).tolist() == [0.0, 0.0]
 
 
 class TestSuperposition:
@@ -166,11 +171,12 @@ def test_leading_replicate_axis_matches_per_replicate_calls():
     received = receive_aggregate(y, alpha, k)
     beta = residual_noise_power(alpha, n0, eta, k)
     assert alpha.shape == inv.shape == beta.shape == (6,)
-    assert check_power(signals, power).shape == (6, 4)
+    sq = np.sum(signals * signals, axis=-1)
+    assert check_power(sq, power).shape == (6, 4)
     for r in range(6):
         assert alpha[r] == power_gain(payloads[r], gains[r], power, n0, eta, k)
         assert inv[r] == inversion_power_gain(payloads[r], gains[r], power)
-        assert np.array_equal(check_power(signals[r], power), check_power(signals, power)[r])
+        assert np.array_equal(check_power(sq[r], power), check_power(sq, power)[r])
         y_r, z_r = noma_superpose(signals[r], gains[r], noise[r], n0)
         np.testing.assert_allclose(y[r], y_r, rtol=1e-14)
         assert np.array_equal(z[r], z_r)
@@ -180,13 +186,13 @@ def test_leading_replicate_axis_matches_per_replicate_calls():
 
 
 def test_check_power_boundary():
+    """The check takes squared norms ||x_k||^2, one per device."""
     p = 4.0
-    at = np.array([[2.0, 0.0]])
-    over = np.array([[2.0 * (1 + 1e-6), 0.0]])
+    at = np.array([4.0])
+    over = np.array([4.0 * (1 + 1e-6)])
     assert check_power(at, p).all()
     assert not check_power(over, p).any()
-    # 1-d input is treated as a single device
-    assert check_power(np.array([1.0, 1.0]), 2.0).shape == (1,)
+    assert check_power(np.array([1.0, 2.0, 3.0]), 2.0).tolist() == [True, True, False]
 
 
 def test_draw_gains_models():

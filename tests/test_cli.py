@@ -1,6 +1,7 @@
 """Command line interface tests (driving main() in process)."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -79,10 +80,14 @@ def test_removed_storage_keys_are_unknown(key, tmp_path, capsys):
     ["run", "--set", "snr_db=-4000"],
     ["sweep", *SMALL_ARGS, "--set", "sweep.snr_db_grid=20, 4000"],
     ["sweep", *SMALL_ARGS, "--set", "sweep.snr_db_grid=-4000"],
+    ["run", "--set", "p_b=1e-6", "--set", "s_total=20", "--set", "s_burn=5"],
+    ["sweep", *SMALL_ARGS, "--set", "p_b=0.1"],
+    ["sweep", *SMALL_ARGS, "--set", "sweep.algorithms=SGLD", "--set", "p_b=0.04"],
 ], ids=["gain_model", "gain_value", "theta_star_length", "sweep_replicates", "snr_grid",
         "pc_grid", "no_algorithms", "sweep_workers_key", "workers_0", "workers_negative",
         "negative_seed", "nan_noise_std", "nan_snr", "inf_eta", "inf_power", "nan_snr_grid",
-        "huge_snr", "tiny_snr", "huge_snr_grid", "tiny_snr_grid"])
+        "huge_snr", "tiny_snr", "huge_snr_grid", "tiny_snr_grid", "sub_sample_batch",
+        "sub_sample_batch_grid", "sub_sample_batch_sgld"])
 def test_bad_values_exit_1_without_traceback(argv, tmp_path, capsys):
     assert main([*argv, "--output", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
@@ -137,6 +142,18 @@ def test_collapsed_common_gain_is_a_protocol_failure(tmp_path, capsys):
     assert code == 2
     assert "common gain collapsed" in err
     assert "Traceback" not in err
+
+
+def test_tiny_constant_gain_is_reported_as_the_gain(tmp_path, capsys):
+    """At |h_k| = 1e-300 the receiver's 1/(K alpha) noise rescale overflows at once."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["run", "--set", "gain_value=1e-300", "--set", "s_total=20",
+                     "--set", "s_burn=5", "--output", str(tmp_path / "x")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("protocol failure: ") and err.count("\n") == 1
+    assert "smallest channel gain |h_k| is 1.000e-300" in err
 
 
 def test_sweep_then_plotdata(tmp_path, capsys):

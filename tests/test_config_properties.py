@@ -34,10 +34,14 @@ def run_configs(draw):
     k = draw(st.integers(1, 40))
     dim = draw(st.integers(1, 6))
     s_total = draw(st.integers(1, 10**6))
+    n_samples = draw(st.integers(k, 10**6))
+    # at least half a sample per mini-batch on every shard, whatever the algorithm
+    shard = n_samples // k
+    p_b = draw(st.floats(min_value=max(1e-6, 0.5 / shard), max_value=1.0)
+               .filter(lambda p: p * shard >= 0.5))
     return RunConfig(
-        algorithm=algorithm, k=k, dim=dim,
-        n_samples=draw(st.integers(k, 10**6)),
-        eta=draw(positive), p_c=draw(unit), p_b=draw(unit),
+        algorithm=algorithm, k=k, dim=dim, n_samples=n_samples,
+        eta=draw(positive), p_c=draw(unit), p_b=p_b,
         s_total=s_total, s_burn=draw(st.integers(0, s_total - 1)),
         snr_db=draw(snr), power=draw(positive),
         gain_model=draw(st.sampled_from(("constant", "rayleigh"))),

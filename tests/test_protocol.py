@@ -11,6 +11,7 @@ from round_reference import replay_fald
 from wfald.channel import ChannelConfig, ProtocolError
 from wfald.harness import build_dataset
 from wfald.protocol import RunConfig, run
+from wfald.rng import run_streams
 
 
 def small_config(**kw):
@@ -154,11 +155,15 @@ def test_earliest_failing_round_is_reported(monkeypatch, block):
     cfg = small_config(algorithm="WFALD", p_c=1.0, replicates=3, s_total=8, s_burn=2)
     data = build_dataset(cfg)
     fail_at = {0: 5, 1: 2, 2: 2}
+    # each replicate's gain stream, told apart by its Philox key
+    replicate_of = {tuple(streams.gains.bit_generator.state["state"]["key"]): r
+                    for r, streams in enumerate(
+                        run_streams(cfg.master_seed, range(3), cfg.k, cfg.seed_path))}
     draw = ChannelConfig.draw_gains
 
     def fading(self, size, rng):
         gains = draw(self, size, rng)
-        round_ = fail_at[rng.bit_generator.seed_seq.spawn_key[3]]
+        round_ = fail_at[replicate_of[tuple(rng.bit_generator.state["state"]["key"])]]
         if round_ < size[0]:  # later blocks stop at the earliest failure found
             gains[round_, 1] = 1e-12
         return gains

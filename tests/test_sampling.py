@@ -37,7 +37,7 @@ def test_sgld_step_matches_manual_update():
     data = build_dataset(cfg)
     res = run(cfg, data)
     U, v = data.covariates, data.targets
-    common = run_streams(cfg.master_seed, 0, 1).common
+    common = run_streams(cfg.master_seed, range(1), 1)[0].common
     theta = np.zeros(2)
     for s in range(1, cfg.s_total + 1):
         grad = (U @ U.T + np.eye(2)) @ theta - U @ v
@@ -105,7 +105,7 @@ class TestFaldRound:
         k = 3
         shards = _toy_problem(k)
         thetas = np.zeros((k, 2))
-        agg = fald_round(thetas, shards, run_streams(0, 0, k), 1e-2, 1.0, 1.0)
+        agg = fald_round(thetas, shards, run_streams(0, range(1), k)[0], 1e-2, 1.0, 1.0)
         assert agg is not None
         for theta in thetas:
             np.testing.assert_array_equal(theta, agg)
@@ -113,11 +113,11 @@ class TestFaldRound:
     def test_non_aggregation_round_returns_none_and_leaves_common_untouched(self):
         k = 2
         shards = _toy_problem(k)
-        streams = run_streams(3, 0, k)
+        streams = run_streams(3, range(1), k)[0]
         thetas = np.zeros((k, 2))
         # replay the flag stream to find how many rounds aggregate before the
         # first local-only round
-        flag_replay = run_streams(3, 0, k).flags
+        flag_replay = run_streams(3, range(1), k)[0].flags
         n_agg = 0
         while flag_replay.random() < 0.5:
             n_agg += 1
@@ -126,7 +126,7 @@ class TestFaldRound:
         assert all(r is not None for r in results[:n_agg])
         assert results[-1] is None
         # only the aggregation rounds consumed common draws
-        reference = run_streams(3, 0, k).common
+        reference = run_streams(3, range(1), k)[0].common
         if n_agg:
             reference.standard_normal((n_agg, 2))
         np.testing.assert_array_equal(streams.common.standard_normal(2),
@@ -135,8 +135,8 @@ class TestFaldRound:
     def test_tau_override_consumes_common_on_non_aggregation_round(self):
         k = 2
         shards = _toy_problem(k)
-        streams = run_streams(4, 0, k)
-        untouched = run_streams(4, 0, k).common
+        streams = run_streams(4, range(1), k)[0]
+        untouched = run_streams(4, range(1), k)[0].common
         fald_round(np.zeros((k, 2)), shards, streams, 1e-2, 1.0, 0.5, tau_override=0.7)
         untouched.standard_normal(2)  # skip the draw the round used
         np.testing.assert_array_equal(streams.common.standard_normal(2),
@@ -147,9 +147,10 @@ class TestFaldRound:
         k = 2
         shards = _toy_problem(k, seed=9)
         thetas = np.zeros((k, 2))
-        noise_replay = [run_streams(5, 0, k).noise[i] for i in range(k)]
+        noise_replay = run_streams(5, range(1), k)[0].noise
         eta = 1e-2
-        fald_round(thetas, shards, run_streams(5, 0, k), eta, 1.0, 1e-9)  # p_c tiny: no aggregation
+        # p_c tiny: no aggregation
+        fald_round(thetas, shards, run_streams(5, range(1), k)[0], eta, 1.0, 1e-9)
         for i, theta in enumerate(thetas):
             expect = (np.zeros(2) - eta * local_grad(np.zeros(2), shards[i], k)
                       + np.sqrt(2 * eta) * noise_replay[i].standard_normal(2))
