@@ -20,8 +20,10 @@ One engine, :func:`run`, runs four protocols, chosen by ``config.algorithm``:
 Engine.  Replicates are independent, so the engine advances a block of up to
 ``REPLICATE_BLOCK`` of them together: one Python iteration per round updates
 a (B, K, d) array of particles, and each per-round step (mini-batch
-gradients, drift statistics, power control, superposition) is one vectorized
-call for the whole block.  A tape feeds the block.  For each replicate it
+gradients, power control, superposition) is one vectorized call for the
+whole block.  No round reads the drift statistics or the post-burn-in sum,
+so those are computed once per tape window, on the stacked particles and
+gradients of its rounds.  A tape feeds the block.  For each replicate it
 first draws the round flags of the whole run, which fix what every round
 draws from the other streams: batch keys on every round, private noise where
 tau < 1, common noise where tau > 0, and on wireless rounds the fading
@@ -504,16 +506,18 @@ def _advance(config: RunConfig, chan: ChannelConfig, groups, A_global, b_global,
     avg_traj, v_theta, v_c = out.avg_traj[rows], out.v_theta[rows], out.v_c[rows]
 
     thetas = np.zeros((B, K, d))
-    avg = np.zeros((B, d))
     mean_acc = np.zeros((B, K, d))
     single = len(groups) == 1
-    grads = None if single else np.empty((B, K, d))
 
     for win in windows:
         agg_by_round = tape.flags[:, win.s0:win.s1].T
         any_agg = agg_by_round.any(axis=1).tolist()
         all_agg = agg_by_round.all(axis=1).tolist()
+        # each round's entering particles and gradients, for the statistics
+        # below; the recurrence replaces ``thetas`` and never writes into it
+        states, grad_rounds = [thetas], []
         for i, s in enumerate(range(win.s0, min(win.s1, stop))):
+            grads = None if single else np.empty((B, K, d))
             for g, batch in zip(groups, win.batch):
                 th = thetas if single else thetas[:, g.devices]
                 if batch is None:
@@ -528,13 +532,6 @@ def _advance(config: RunConfig, chan: ChannelConfig, groups, A_global, b_global,
                     grads = gr
                 else:
                     grads[:, g.devices] = gr
-            # dispersion measured relative to particle 0 so bitwise-equal
-            # particles (the state right after an aggregation) give exactly 0
-            dev = thetas - thetas[:, :1]
-            dev -= dev.sum(axis=1, keepdims=True) / K
-            v_theta[:, s] = (dev * dev).sum(axis=2).sum(axis=1) / K
-            diff = (np.einsum("de,be->bd", A_global, avg) - b_global) - grads.sum(axis=1)
-            v_c[:, s] = np.einsum("bd,bd->b", diff, diff)
 
             step = thetas - eta * grads
             new = step if win.step_noise is None else step + win.step_noise[i]
@@ -560,8 +557,26 @@ def _advance(config: RunConfig, chan: ChannelConfig, groups, A_global, b_global,
 
             thetas = new
             avg_traj[:, s + 1] = avg
-            if s + 1 > config.s_burn:
-                mean_acc += thetas
+            states.append(thetas)
+            grad_rounds.append(grads)
+
+        # no round reads the drift statistics or the running sum, so they are
+        # taken once per window on (B, w, ...) stacks of the rounds just run
+        s0, s1 = win.s0, win.s0 + len(grad_rounds)
+        entering = np.stack(states[:-1], axis=1)
+        # dispersion measured relative to particle 0 so bitwise-equal
+        # particles (the state right after an aggregation) give exactly 0
+        dev = entering - entering[:, :, :1]
+        dev -= dev.sum(axis=2, keepdims=True) / K
+        v_theta[:, s0:s1] = (dev * dev).sum(axis=3).sum(axis=2) / K
+        diff = ((np.einsum("de,bwe->bwd", A_global, avg_traj[:, s0:s1]) - b_global)
+                - np.stack(grad_rounds, axis=1).sum(axis=2))
+        v_c[:, s0:s1] = np.einsum("bwd,bwd->bw", diff, diff)
+        # the states after rounds s0.. with s + 1 > s_burn; reducing along the
+        # leading axis adds them in round order, as a per-round += would
+        kept = states[1 + max(0, config.s_burn - s0):]
+        if kept:
+            mean_acc = np.add.reduce([mean_acc, *kept], axis=0)
 
     out.flags[rows] = tape.flags
     out.device_mean[rows] = mean_acc / config.s_use
