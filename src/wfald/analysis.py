@@ -213,11 +213,14 @@ def w2_bound_sequence(inputs: BoundInputs, beta_mode: str = "per_round") -> np.n
 
 
 def drift_bounds(constants: RegularityConstants, eta: float, p_c: float,
-                 k: int, dim: int, v_theta_measured: float) -> tuple[float, float]:
+                 k: int, dim: int, v_theta_measured: float | np.ndarray
+                 ) -> tuple[float, float | np.ndarray]:
     """Theoretical ceilings for the two client-drift statistics.
 
     Returns ``(v_theta_bound, v_c_bound)`` where the second substitutes the
-    measured divergence average for its expectation.
+    measured divergence average for its expectation.  ``v_theta_measured``
+    may be a float or an array; ``v_c_bound`` takes its shape, one ceiling
+    per entry.
     """
     sig = constants.grad_noise_sq_sum
     G2 = constants.grad_bound ** 2

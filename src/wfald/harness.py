@@ -25,6 +25,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import os
 import typing
 from concurrent.futures import ProcessPoolExecutor
@@ -328,20 +329,19 @@ def summarize_run(result: RunResult, posterior, test_inputs=None, test_targets=N
                            out=np.full(S, np.nan), where=alpha_cnt > 0)
     vt_iter = result.v_theta.mean(axis=0)
     vc_iter = result.v_c.mean(axis=0)
+    _, vc_bound_iter = drift_bounds(result.constants, cfg.eta, cfg.p_c, cfg.k, cfg.dim, vt_iter)
 
     table = []
     for s in range(1, S + 1):
-        vt_s = vt_iter[s - 1]
         table.append({
             "s": s,
             "mse": float(mse_run[s - 1]),
             "w2_sq": float(w2_per_iter[s - 1]),
             "bound": float(bound_per_iter[s - 1]),
-            "v_theta": float(vt_s),
+            "v_theta": float(vt_iter[s - 1]),
             "v_c": float(vc_iter[s - 1]),
             "v_theta_bound": vt_bound,
-            "v_c_bound": drift_bounds(result.constants, cfg.eta, cfg.p_c,
-                                      cfg.k, cfg.dim, float(vt_s))[1],
+            "v_c_bound": float(vc_bound_iter[s - 1]),
             "beta": float(betas[:, s - 1].mean()),
             "alpha": float(alpha_mean[s - 1]),
         })
@@ -368,7 +368,7 @@ def evaluate(config: RunConfig) -> tuple[RunResult, dict, list[dict]]:
 
 def _fmt(value) -> str:
     if isinstance(value, float):
-        return "nan" if np.isnan(value) else repr(float(value))
+        return "nan" if math.isnan(value) else repr(float(value))
     return str(value)
 
 
