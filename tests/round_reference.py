@@ -61,38 +61,54 @@ def fald_round(thetas: np.ndarray, shards, streams, eta: float, p_b: float, p_c:
                tau_override: float | None = None):
     """One FALD round on the (K, d) particles, updated in place.
 
-    Returns the aggregate when the round aggregated, else None.
+    All K mini-batch gradients are taken at the entering particles before any
+    update.  Returns the aggregate when the round aggregated, else None, and
+    the (K, d) realized gradients.
     """
     k_total, dim = thetas.shape
     flag = streams.flags.random() < p_c
     tau = tau_override if tau_override is not None else float(flag)
     common = streams.common.standard_normal(dim) if tau > 0.0 else None
-    for k, shard in enumerate(shards):
-        grad = stochastic_grad(thetas[k], shard, p_b, streams.batch[k], k_total)
+    grads = np.array([stochastic_grad(thetas[k], shard, p_b, streams.batch[k], k_total)
+                      for k, shard in enumerate(shards)])
+    for k in range(k_total):
         xi = correlated_noise(tau, k_total, dim, common, streams.noise[k])
-        thetas[k] = thetas[k] - eta * grad + np.sqrt(2.0 * eta) * xi
+        thetas[k] = thetas[k] - eta * grads[k] + np.sqrt(2.0 * eta) * xi
     if not flag:
-        return None
+        return None, grads
     thetas[:] = thetas.mean(axis=0)
-    return thetas[0].copy()
+    return thetas[0].copy(), grads
 
 
 def replay_fald(config, data, replicate: int = 0):
     """Replay one replicate of a FALD run.
 
-    Returns the flags, the device-average trajectory, the final particles and
-    each device's time average over the post-burn-in rounds s_burn + 1..S.
+    Returns the flags, the device-average trajectory, the final particles,
+    each device's time average over the post-burn-in rounds s_burn + 1..S,
+    and the client-drift statistics of the particles entering each round:
+
+        V_theta = (1/K) sum_k ||theta_k - theta_bar||^2,
+        V_c = ||(U U^T + I) theta_bar - U v - sum_k g_k||^2,
+
+    with g_k the realized mini-batch gradients.
     """
     shards = partition_even(data, config.k)
     [streams] = run_streams(config.master_seed, range(replicate, replicate + 1), config.k,
                             config.seed_path)
+    U, v = data.covariates, data.targets
+    hessian = U @ U.T + np.eye(config.dim)
     thetas = np.zeros((config.k, config.dim))
-    flags, avg, tail = [], [thetas.mean(axis=0)], []
+    flags, avg, tail, v_theta, v_c = [], [thetas.mean(axis=0)], [], [], []
     for s in range(1, config.s_total + 1):
-        agg = fald_round(thetas, shards, streams, config.eta, config.p_b, config.p_c,
-                         config.tau_override)
+        theta_bar = avg[-1]
+        v_theta.append(np.mean(np.sum((thetas - theta_bar) ** 2, axis=1)))
+        agg, grads = fald_round(thetas, shards, streams, config.eta, config.p_b, config.p_c,
+                                config.tau_override)
+        drift = hessian @ theta_bar - U @ v - grads.sum(axis=0)
+        v_c.append(drift @ drift)
         flags.append(agg is not None)
         avg.append(thetas.mean(axis=0))
         if s > config.s_burn:
             tail.append(thetas.copy())
-    return np.array(flags), np.array(avg), thetas, np.mean(tail, axis=0)
+    return (np.array(flags), np.array(avg), thetas, np.mean(tail, axis=0), np.array(v_theta),
+            np.array(v_c))

@@ -49,18 +49,22 @@ def test_engine_matches_round_by_round_reference(settings, replicate):
 
     Both consume the same streams in the same order: flags every round,
     batch keys below full batch, common noise where tau > 0 and private noise
-    where tau < 1.  The arithmetic is reassociated (stacked einsum versus
-    per-device matvec) so the match is to relative tolerance, not bitwise.
+    where tau < 1.  The drift statistics, which the engine computes once per
+    tape window, match the ones the reference takes each round.  The
+    arithmetic is reassociated (stacked einsum versus per-device matvec) so
+    the match is to relative tolerance, not bitwise.
     """
     cfg = small_config(s_total=8, s_burn=2, **settings)
     data = build_dataset(cfg)
     engine = run(cfg, data)
-    flags, avg_traj, thetas, device_mean = replay_fald(cfg, data, replicate)
+    flags, avg_traj, thetas, device_mean, v_theta, v_c = replay_fald(cfg, data, replicate)
     assert np.array_equal(engine.flags[replicate], flags)
     np.testing.assert_allclose(engine.avg_traj[replicate], avg_traj, rtol=1e-10, atol=1e-13)
     np.testing.assert_allclose(engine.theta_final[replicate], thetas, rtol=1e-10, atol=1e-13)
     np.testing.assert_allclose(engine.device_mean[replicate], device_mean,
                                rtol=1e-10, atol=1e-13)
+    np.testing.assert_allclose(engine.v_theta[replicate], v_theta, rtol=1e-10, atol=1e-13)
+    np.testing.assert_allclose(engine.v_c[replicate], v_c, rtol=1e-10, atol=1e-13)
 
 
 def test_sgld_is_single_device_fald():

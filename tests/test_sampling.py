@@ -105,7 +105,7 @@ class TestFaldRound:
         k = 3
         shards = _toy_problem(k)
         thetas = np.zeros((k, 2))
-        agg = fald_round(thetas, shards, run_streams(0, range(1), k)[0], 1e-2, 1.0, 1.0)
+        agg, _ = fald_round(thetas, shards, run_streams(0, range(1), k)[0], 1e-2, 1.0, 1.0)
         assert agg is not None
         for theta in thetas:
             np.testing.assert_array_equal(theta, agg)
@@ -121,7 +121,7 @@ class TestFaldRound:
         n_agg = 0
         while flag_replay.random() < 0.5:
             n_agg += 1
-        results = [fald_round(thetas, shards, streams, 1e-2, 1.0, 0.5)
+        results = [fald_round(thetas, shards, streams, 1e-2, 1.0, 0.5)[0]
                    for _ in range(n_agg + 1)]
         assert all(r is not None for r in results[:n_agg])
         assert results[-1] is None
