@@ -510,13 +510,14 @@ def _advance(config: RunConfig, chan: ChannelConfig, groups, A_global, b_global,
     single = len(groups) == 1
 
     for win in windows:
-        agg_by_round = tape.flags[:, win.s0:win.s1].T
+        s0, s1 = win.s0, min(win.s1, stop)
+        agg_by_round = tape.flags[:, s0:s1].T
         any_agg = agg_by_round.any(axis=1).tolist()
         all_agg = agg_by_round.all(axis=1).tolist()
-        # each round's entering particles and gradients, for the statistics
-        # below; the recurrence replaces ``thetas`` and never writes into it
-        states, grad_rounds = [thetas], []
-        for i, s in enumerate(range(win.s0, min(win.s1, stop))):
+        # each round's entering particles and summed gradients, for the
+        # statistics below; the recurrence replaces ``thetas``, never writes it
+        states, grad_sums = [thetas], []
+        for i, s in enumerate(range(s0, s1)):
             grads = None if single else np.empty((B, K, d))
             for g, batch in zip(groups, win.batch):
                 th = thetas if single else thetas[:, g.devices]
@@ -558,25 +559,25 @@ def _advance(config: RunConfig, chan: ChannelConfig, groups, A_global, b_global,
             thetas = new
             avg_traj[:, s + 1] = avg
             states.append(thetas)
-            grad_rounds.append(grads)
+            grad_sums.append(grads.sum(axis=1))
 
-        # no round reads the drift statistics or the running sum, so they are
-        # taken once per window on (B, w, ...) stacks of the rounds just run
-        s0, s1 = win.s0, win.s0 + len(grad_rounds)
-        entering = np.stack(states[:-1], axis=1)
-        # dispersion measured relative to particle 0 so bitwise-equal
-        # particles (the state right after an aggregation) give exactly 0
-        dev = entering - entering[:, :, :1]
-        dev -= dev.sum(axis=2, keepdims=True) / K
-        v_theta[:, s0:s1] = (dev * dev).sum(axis=3).sum(axis=2) / K
-        diff = ((np.einsum("de,bwe->bwd", A_global, avg_traj[:, s0:s1]) - b_global)
-                - np.stack(grad_rounds, axis=1).sum(axis=2))
-        v_c[:, s0:s1] = np.einsum("bwd,bwd->bw", diff, diff)
-        # the states after rounds s0.. with s + 1 > s_burn; reducing along the
-        # leading axis adds them in round order, as a per-round += would
+        # what no round reads, once per window on (B, w, ...) stacks of its
+        # rounds.  The states after rounds s with s + 1 > s_burn join the
+        # running sum: reducing along the leading axis adds them in round
+        # order, as a per-round += would
         kept = states[1 + max(0, config.s_burn - s0):]
         if kept:
             mean_acc = np.add.reduce([mean_acc, *kept], axis=0)
+        # dispersion measured relative to particle 0 so bitwise-equal
+        # particles (the state right after an aggregation) give exactly 0
+        dev = np.stack(states[:-1], axis=1)
+        dev -= dev[:, :, :1]
+        dev -= dev.sum(axis=2, keepdims=True) / K
+        dev *= dev
+        v_theta[:, s0:s1] = dev.sum(axis=3).sum(axis=2) / K
+        diff = ((np.einsum("de,bwe->bwd", A_global, avg_traj[:, s0:s1]) - b_global)
+                - np.stack(grad_sums, axis=1))
+        v_c[:, s0:s1] = np.einsum("bwd,bwd->bw", diff, diff)
 
     out.flags[rows] = tape.flags
     out.device_mean[rows] = mean_acc / config.s_use
