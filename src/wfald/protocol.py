@@ -23,7 +23,7 @@ a (B, K, d) array of particles, and each per-round step (mini-batch
 gradients, power control, superposition) is one vectorized call for the
 whole block.  No round reads the drift statistics or the post-burn-in sum,
 so those are computed once per tape window, on the stacked particles and
-gradients of its rounds.  A tape feeds the block.  For each replicate it
+gradient sums of its rounds.  A tape feeds the block.  For each replicate it
 first draws the round flags of the whole run, which fix what every round
 draws from the other streams: batch keys on every round, private noise where
 tau < 1, common noise where tau > 0, and on wireless rounds the fading
@@ -515,7 +515,8 @@ def _advance(config: RunConfig, chan: ChannelConfig, groups, A_global, b_global,
         any_agg = agg_by_round.any(axis=1).tolist()
         all_agg = agg_by_round.all(axis=1).tolist()
         # each round's entering particles and summed gradients, for the
-        # statistics below; the recurrence replaces ``thetas``, never writes it
+        # statistics below; the recurrence replaces ``thetas`` and never
+        # writes into it
         states, grad_sums = [thetas], []
         for i, s in enumerate(range(s0, s1)):
             grads = None if single else np.empty((B, K, d))
