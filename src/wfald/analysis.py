@@ -10,6 +10,11 @@ Provides
 * the client-drift upper bounds ``E[V_theta] <= v_theta_bound`` and
   ``E[V_c] <= K^2 L^2 E[V_theta] + K sum_k sigma_k^2``;
 * the held-out predictive error of point estimates.
+
+The Gaussian fits, the 2-Wasserstein distance and the bound sequence take
+leading axes, so one call serves every round or every replicate of a run:
+each item along the leading axes gets the arithmetic, and so the bits, of a
+call without them.  One item is the case without a leading axis.
 """
 
 from __future__ import annotations
@@ -21,44 +26,77 @@ import numpy as np
 
 from .model import GaussianDist, RegularityConstants
 
+#: bytes of samples ``empirical_gaussian`` copies at a time; a stack of fits
+#: is made in chunks of this size, so its transient stays small
+_FIT_CHUNK_BYTES = 1 << 19
+
 
 def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
     vals, vecs = np.linalg.eigh(mat)
-    return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
+    return (vecs * np.sqrt(np.clip(vals, 0.0, None))[..., None, :]) @ np.swapaxes(vecs, -1, -2)
 
 
-def gaussian_w2_squared(p: GaussianDist, q: GaussianDist) -> float:
+def _trace(mat: np.ndarray) -> np.ndarray:
+    return np.trace(mat, axis1=-2, axis2=-1)
+
+
+def gaussian_w2_squared(p: GaussianDist, q: GaussianDist) -> float | np.ndarray:
     """Squared 2-Wasserstein distance between two Gaussians.
 
     Uses the closed form ||m1 - m2||^2 + tr(C1 + C2 - 2 (C2^1/2 C1 C2^1/2)^1/2)
-    with symmetric eigendecompositions throughout; the trace term is clamped
-    at zero to absorb rounding on near-identical inputs.
+    (Givens & Shortt, Michigan Math. J. 31, 1984) with symmetric
+    eigendecompositions throughout; the trace term is clamped at zero to
+    absorb rounding on near-identical inputs.  The leading axes of ``p`` and
+    ``q`` broadcast, and the result has their shape: a float for two single
+    Gaussians, an array otherwise.  A single ``q`` has its square root taken
+    once for all of ``p``.
     """
     dm = p.mean - q.mean
     root_q = _psd_sqrt(q.covariance)
     cross = _psd_sqrt(root_q @ p.covariance @ root_q)
-    trace_term = float(np.trace(p.covariance) + np.trace(q.covariance) - 2.0 * np.trace(cross))
-    return float(dm @ dm) + max(trace_term, 0.0)
+    trace_term = _trace(p.covariance) + _trace(q.covariance) - 2.0 * _trace(cross)
+    w2 = (dm[..., None, :] @ dm[..., :, None])[..., 0, 0] + np.maximum(trace_term, 0.0)
+    return float(w2) if w2.ndim == 0 else w2
 
 
 def empirical_gaussian(samples: np.ndarray) -> GaussianDist:
-    """Moment-match a Gaussian to rows of ``samples`` (shape (n, d), n >= d + 1)."""
+    """Moment-match a Gaussian to the rows of each (n, d) sample matrix, n >= d + 1.
+
+    ``samples`` has shape (..., n, d); the fit has a mean of shape (..., d)
+    and a covariance of shape (..., d, d).  Each item is computed as
+    ``np.cov(rowvar=False)`` computes one: the mean, then the centred
+    samples' Gram matrix (a BLAS syrk) times 1/(n - 1).  A fitted covariance
+    with a negative eigenvalue has its eigenvalues clamped at zero, with a
+    warning when the negative one is more than rounding.
+    """
     samples = np.asarray(samples, dtype=float)
-    if samples.ndim != 2:
-        raise ValueError(f"expected a 2-d sample array, got shape {samples.shape}")
-    n, d = samples.shape
+    if samples.ndim < 2:
+        raise ValueError(f"expected a (..., n, d) sample array, got shape {samples.shape}")
+    *lead, n, d = samples.shape
     if n < d + 1:
         raise ValueError(f"need at least {d + 1} samples to fit a {d}-dimensional Gaussian, got {n}")
-    mean = samples.mean(axis=0)
-    cov = np.cov(samples, rowvar=False, ddof=1).reshape(d, d)
+    flat = samples.reshape(-1, n, d)
+    mean = np.empty((len(flat), d))
+    cov = np.empty((len(flat), d, d))
+    step = max(1, _FIT_CHUNK_BYTES // (8 * n * d))
+    for start in range(0, len(flat), step):
+        x = np.array(flat[start:start + step], order="C")
+        # numpy sums a single column pairwise but several columns row by row;
+        # summing each item's own axis keeps the order of a single fit
+        mu = x[..., 0].mean(axis=-1, keepdims=True) if d == 1 else x.mean(axis=-2)
+        x -= mu[:, None, :]
+        gram = np.swapaxes(x, -1, -2) @ x
+        gram *= np.true_divide(1, n - 1)
+        mean[start:start + step] = mu
+        cov[start:start + step] = gram
     vals = np.linalg.eigvalsh(cov)
-    if vals[0] < 0:
-        if vals[0] < -1e-8 * max(vals[-1], 1.0):
-            warnings.warn(f"sample covariance has negative eigenvalue {vals[0]:.3e}; clamping")
-        vecs = np.linalg.eigh(cov)[1]
-        cov = (vecs * np.clip(np.linalg.eigvalsh(cov), 0.0, None)) @ vecs.T
-        cov = 0.5 * (cov + cov.T)
-    return GaussianDist(mean=mean, covariance=cov)
+    for i in np.flatnonzero(vals[:, 0] < 0):
+        if vals[i, 0] < -1e-8 * max(vals[i, -1], 1.0):
+            warnings.warn(f"sample covariance has negative eigenvalue {vals[i, 0]:.3e}; clamping")
+        vecs = np.linalg.eigh(cov[i])[1]
+        clamped = (vecs * np.clip(vals[i], 0.0, None)) @ vecs.T
+        cov[i] = 0.5 * (clamped + clamped.T)
+    return GaussianDist(mean=mean.reshape(*lead, d), covariance=cov.reshape(*lead, d, d))
 
 
 # ----------------------------------------------------------- run summaries --- #
@@ -122,7 +160,8 @@ class BoundInputs:
     """Everything the convergence-bound evaluator needs.
 
     ``beta_by_round`` is the realized residual channel-noise power per round
-    (zero on rounds without wireless aggregation); ``w2_init_sq`` the squared
+    (zero on rounds without wireless aggregation), shape (..., S) with one
+    leading index per replicate, or (S,) for one; ``w2_init_sq`` the squared
     2-Wasserstein distance between the (deterministic) initialization and the
     target posterior.
     """
@@ -139,15 +178,17 @@ class BoundInputs:
     beta_by_round: np.ndarray
 
     @classmethod
-    def from_run(cls, result, posterior: GaussianDist, replicate: int = 0) -> "BoundInputs":
+    def from_run(cls, result, posterior: GaussianDist, replicate: int | None = None) -> "BoundInputs":
+        """Bound inputs of one replicate, or of all of them, shape (R, S), when None."""
         c = result.constants
         cfg = result.config
         init = GaussianDist(mean=np.zeros(cfg.dim), covariance=np.zeros((cfg.dim, cfg.dim)))
+        beta = result.beta if replicate is None else result.beta[replicate]
         return cls(smoothness=c.smoothness, strong_convexity=c.strong_convexity,
                    grad_bound=c.grad_bound, sigma_sq_sum=c.grad_noise_sq_sum,
                    eta=cfg.eta, p_c=cfg.p_c, k=cfg.k, dim=cfg.dim,
                    w2_init_sq=gaussian_w2_squared(init, posterior),
-                   beta_by_round=np.nan_to_num(result.beta[replicate], nan=0.0))
+                   beta_by_round=np.nan_to_num(beta, nan=0.0))
 
 
 def drift_free_term(inputs: BoundInputs) -> float:
@@ -166,9 +207,9 @@ def drift_free_term(inputs: BoundInputs) -> float:
 def w2_bound_sequence(inputs: BoundInputs, beta_mode: str = "per_round") -> np.ndarray:
     """Upper bound on the squared 2-Wasserstein distance after each round.
 
-    Returns an array of length S + 1 (entry s bounds the distance after s
-    rounds).  ``beta_mode`` selects how the residual-channel-noise term is
-    accumulated:
+    Returns an array of shape (..., S + 1), one sequence per row of
+    ``inputs.beta_by_round`` (entry s bounds the distance after s rounds).
+    ``beta_mode`` selects how the residual-channel-noise term is accumulated:
 
     * ``"per_round"``: each round's realized residual power enters once and
       is contracted forward; rounds without wireless aggregation contribute
@@ -185,27 +226,30 @@ def w2_bound_sequence(inputs: BoundInputs, beta_mode: str = "per_round") -> np.n
     if beta_mode not in ("per_round", "final"):
         raise ValueError(f"unknown beta_mode {beta_mode!r}")
     beta = np.asarray(inputs.beta_by_round, dtype=float)
-    S = len(beta)
+    S = beta.shape[-1]
     gamma = contraction_gamma(inputs.eta, inputs.strong_convexity, inputs.smoothness)
     r2 = ((1.0 + gamma) / 2.0) ** 2
     const = drift_free_term(inputs)
     d, pc = inputs.dim, inputs.p_c
 
-    out = np.empty(S + 1)
-    out[0] = inputs.w2_init_sq
-    contracted = inputs.w2_init_sq
-    channel = 0.0
-    last_beta = 0.0
-    for s in range(1, S + 1):
-        contracted *= r2
-        b = beta[s - 1]
-        if b > 0.0:
-            last_beta = b
-        if beta_mode == "per_round":
-            channel = channel * r2 + r2 * d * b
-        else:
-            channel = last_beta * pc * d * r2 * (1.0 - r2 ** s) / (1.0 - r2)
-        out[s] = contracted + channel + const
+    # the initial distance contracted once per round, one factor at a time
+    contracted = np.multiply.accumulate(np.r_[inputs.w2_init_sq, np.full(S, r2)])[1:]
+    if beta_mode == "per_round":
+        channel = np.empty_like(beta)
+        acc = 0.0
+        for s, b in enumerate(np.moveaxis(beta, -1, 0)):
+            acc = acc * r2 + r2 * d * b
+            channel[..., s] = acc
+    else:
+        # the most recent positive power up to each round, zero before the first
+        last = np.maximum.accumulate(np.where(beta > 0.0, np.arange(S), -1), axis=-1)
+        last_beta = np.where(last >= 0, np.take_along_axis(beta, np.maximum(last, 0), axis=-1), 0.0)
+        geometric = np.array([1.0 - r2 ** s for s in range(1, S + 1)])
+        channel = last_beta * pc * d * r2 * geometric / (1.0 - r2)
+
+    out = np.empty(beta.shape[:-1] + (S + 1,))
+    out[..., 0] = inputs.w2_init_sq
+    out[..., 1:] = contracted + channel + const
     return out
 
 

@@ -276,17 +276,15 @@ def summarize_run(result: RunResult, posterior, test_inputs=None, test_targets=N
     w2_final = float("nan")
     w2_per_iter = np.full(S, np.nan)
     if R >= cfg.dim + 2:
-        for s in range(1, S + 1):
-            fit = empirical_gaussian(result.avg_traj[:, s, :])
-            w2_per_iter[s - 1] = gaussian_w2_squared(fit, posterior)
+        # one fit per round s = 1..S, each over the replicates' particles
+        fits = empirical_gaussian(result.avg_traj[:, 1:, :].swapaxes(0, 1))
+        w2_per_iter = gaussian_w2_squared(fits, posterior)
         w2_final = w2_per_iter[-1]
 
     bound_mean = bound_se = float("nan")
     bound_per_iter = np.full(S, np.nan)
     if bound_skip_reason(result) is None:
-        seqs = np.stack([
-            w2_bound_sequence(BoundInputs.from_run(result, posterior, r))
-            for r in range(R)])
+        seqs = w2_bound_sequence(BoundInputs.from_run(result, posterior))
         bound_per_iter = seqs[:, 1:].mean(axis=0)
         bound_mean, bound_se = _mean_se(seqs[:, -1])
 

@@ -68,7 +68,12 @@ class LocalDataset:
 
 @dataclass(frozen=True)
 class GaussianDist:
-    """Multivariate Gaussian with a validated symmetric PSD covariance."""
+    """Multivariate Gaussian with a validated symmetric PSD covariance.
+
+    Takes leading axes: a mean of shape (..., d) with a covariance of shape
+    (..., d, d) holds one Gaussian per leading index, each checked on its own
+    scale.  One Gaussian is the case without a leading axis.
+    """
 
     mean: np.ndarray
     covariance: np.ndarray
@@ -78,18 +83,19 @@ class GaussianDist:
         c = np.atleast_2d(np.asarray(self.covariance, dtype=float))
         object.__setattr__(self, "mean", m)
         object.__setattr__(self, "covariance", c)
-        if c.shape != (m.shape[0], m.shape[0]):
-            raise ValueError(f"covariance shape {c.shape} does not match mean dim {m.shape[0]}")
-        scale = max(1.0, float(np.abs(c).max()))
-        if np.abs(c - c.T).max() > 1e-10 * scale:
+        if c.shape != m.shape + m.shape[-1:]:
+            raise ValueError(f"covariance shape {c.shape} does not match mean shape {m.shape}")
+        scale = np.fmax(1.0, np.abs(c).max(axis=(-2, -1)))
+        c_t = np.swapaxes(c, -1, -2)
+        if (np.abs(c - c_t).max(axis=(-2, -1)) > 1e-10 * scale).any():
             raise ValueError("covariance is not symmetric within 1e-10 relative tolerance")
-        w = np.linalg.eigvalsh(0.5 * (c + c.T))
-        if w.min() < -1e-10 * scale:
+        w = np.linalg.eigvalsh(0.5 * (c + c_t))[..., 0]
+        if (w < -1e-10 * scale).any():
             raise ValueError(f"covariance has negative eigenvalue {w.min():.3e}")
 
     @property
     def dim(self) -> int:
-        return self.mean.shape[0]
+        return self.mean.shape[-1]
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,8 @@
 """Analysis tests: Wasserstein distances, bound evaluators, error metrics."""
 
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
@@ -73,6 +76,69 @@ def test_empirical_gaussian_recovers_moments():
 def test_empirical_gaussian_needs_enough_samples():
     with pytest.raises(ValueError):
         empirical_gaussian(np.zeros((3, 3)))
+    with pytest.raises(ValueError):
+        empirical_gaussian(np.zeros((4, 3, 3)))
+
+
+def assert_bitwise(actual, expected):
+    np.testing.assert_array_equal(np.asarray(actual, dtype=float).view(np.uint64),
+                                  np.asarray(expected, dtype=float).view(np.uint64))
+
+
+def fit_and_distance(samples, q):
+    """``(fit, w2, warning messages)`` of one call on ``samples``."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fit = empirical_gaussian(samples)
+        w2 = gaussian_w2_squared(fit, q)
+    return fit, w2, [str(w.message) for w in caught]
+
+
+class TestBatchedFits:
+    """A stack of fits and distances equals one call per item, bit for bit."""
+
+    def check_stack(self, samples, q):
+        fit, w2, warned = fit_and_distance(samples, q)
+        items = [fit_and_distance(x, q) for x in samples]
+        assert fit.mean.shape == samples.shape[:1] + samples.shape[2:]
+        assert fit.covariance.shape == fit.mean.shape + samples.shape[2:]
+        assert all(isinstance(item_w2, float) for _, item_w2, _ in items)
+        assert_bitwise(fit.mean, [f.mean for f, _, _ in items])
+        assert_bitwise(fit.covariance, [f.covariance for f, _, _ in items])
+        assert_bitwise(w2, [item_w2 for _, item_w2, _ in items])
+        assert warned == [m for _, _, msgs in items for m in msgs]
+        return fit
+
+    def test_stack_with_a_rank_deficient_round(self):
+        rng = np.random.default_rng(3)
+        scales = np.array([0.1, 1.0, 30.0, 2.0, 0.5, 5.0])
+        samples = rng.standard_normal((6, 12, 3)) * scales[:, None, None] + [1.0, -2.0, 0.5]
+        # round 2: the third coordinate is a combination of the first two
+        x = np.random.default_rng(0).standard_normal((12, 2))
+        samples[2] = np.column_stack([x, x[:, 0] - 0.7 * x[:, 1]])
+        raw = np.cov(samples[2], rowvar=False)
+        assert np.linalg.eigvalsh(raw)[0] < 0, "round 2 must reach the clamp"
+        q = gauss([0.5, -1.0, 2.0], [[2.0, 0.3, 0.0], [0.3, 1.0, 0.2], [0.0, 0.2, 0.5]])
+        fit = self.check_stack(samples, q)
+        assert not np.array_equal(fit.covariance[2], raw)  # clamped
+        np.testing.assert_allclose(fit.covariance[2], raw, atol=1e-14)
+
+    def test_one_dimensional_stack(self):
+        # numpy sums a lone column pairwise: the stack must do the same
+        samples = np.random.default_rng(4).standard_normal((4, 300, 1)) * 7.0 + 1e3
+        self.check_stack(samples, gauss([1e3], [[49.0]]))
+
+    def test_bound_rows_equal_single_replicate_calls(self):
+        rng = np.random.default_rng(5)
+        beta = np.where(rng.random((7, 40)) < 0.5, 0.0, rng.exponential(size=(7, 40)))
+        inputs = BoundInputs(smoothness=2.0, strong_convexity=0.5, grad_bound=1.3,
+                             sigma_sq_sum=0.7, eta=0.1, p_c=0.4, k=7, dim=3,
+                             w2_init_sq=2.5, beta_by_round=beta)
+        for mode in ("per_round", "final"):
+            seqs = w2_bound_sequence(inputs, mode)
+            assert seqs.shape == (7, 41)
+            assert_bitwise(seqs, [w2_bound_sequence(dataclasses.replace(inputs, beta_by_round=row),
+                                                    mode) for row in beta])
 
 
 class TestContractionFactor:

@@ -198,12 +198,15 @@ class TestSummaries:
 
     def test_mse_matches_direct_computation(self):
         result, post = self.make_run()
-        summary, _ = summarize_run(result, post)
+        summary, table = summarize_run(result, post)
         diff = result.device_mean - post.mean
         direct = np.sum(diff * diff, axis=-1).mean(axis=-1)
         assert summary["mse_mean"] == pytest.approx(direct.mean(), rel=1e-12)
-        fit = empirical_gaussian(result.avg_traj[:, -1, :])
-        assert summary["w2_sq"] == pytest.approx(gaussian_w2_squared(fit, post), rel=1e-12)
+        # every round's fit, one call per round
+        w2 = [gaussian_w2_squared(empirical_gaussian(result.avg_traj[:, s, :]), post)
+              for s in range(1, result.config.s_total + 1)]
+        assert [row["w2_sq"] for row in table] == pytest.approx(w2, rel=1e-12)
+        assert summary["w2_sq"] == pytest.approx(w2[-1], rel=1e-12)
 
 
 class TestSweepGrid:
