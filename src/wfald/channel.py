@@ -103,12 +103,25 @@ class ChannelConfig:
         return rng.rayleigh(self.rayleigh_scale, size)
 
 
+#: a payload norm below this has squared entries under the normal float range
+_TINY_NORM = float(np.sqrt(np.finfo(float).tiny))
+#: largest alpha / |h_k| a device is asked to apply, far inside the float range
+_MAX_INVERSION = 1e300
+
+
 def _power_branch(payloads: np.ndarray, gains: np.ndarray, power: float) -> np.ndarray:
     """min_k sqrt(power) |h_k| / ||payload_k|| over devices with a nonzero payload.
 
     A masked min over the device axis; inf where every payload is zero.
     """
     norms = np.linalg.norm(payloads, axis=-1)
+    tiny = norms < _TINY_NORM
+    if tiny.any():
+        # squares that underflow lose their bits: take those norms at unit scale
+        rows = np.asarray(payloads, dtype=float)[tiny]
+        scale = np.abs(rows).max(axis=-1, keepdims=True)
+        scale[scale == 0.0] = 1.0
+        norms[tiny] = scale[:, 0] * np.linalg.norm(rows / scale, axis=-1)
     ratio = np.divide(np.sqrt(power) * np.asarray(gains, dtype=float), norms,
                       out=np.full(norms.shape, np.inf), where=norms > 0)
     return ratio.min(axis=-1)
@@ -126,14 +139,22 @@ def power_gain(payloads: np.ndarray, gains: np.ndarray, power: float,
     alpha = _power_branch(payloads, gains, power)
     if noise_level > 0:
         alpha = np.minimum(float(np.sqrt(noise_level / (2.0 * eta * k_total))), alpha)
-    # every payload zero: any gain transmits the zero signal
-    return np.where(np.isfinite(alpha), alpha, 1.0)[()]
+    return _finite_gain(alpha, gains)
 
 
 def inversion_power_gain(payloads: np.ndarray, gains: np.ndarray, power: float):
     """Pure scaled channel inversion at full power (no Langevin noise cap)."""
-    alpha = _power_branch(payloads, gains, power)
-    return np.where(np.isfinite(alpha), alpha, 1.0)[()]
+    return _finite_gain(_power_branch(payloads, gains, power), gains)
+
+
+def _finite_gain(alpha, gains):
+    """alpha, 1 where every payload is zero, and small enough that alpha / h_k
+    stays finite on every device: a huge alpha on a near-zero payload would
+    otherwise overflow the scaled signal, or make inf * 0 on an idle device.
+    """
+    # every payload zero: any gain transmits the zero signal
+    alpha = np.where(np.isfinite(alpha), alpha, 1.0)
+    return np.minimum(alpha, _MAX_INVERSION * np.min(gains, axis=-1))[()]
 
 
 def noma_superpose(signals: np.ndarray, gains: np.ndarray, noise: np.ndarray,
