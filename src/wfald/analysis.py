@@ -28,7 +28,7 @@ from .model import GaussianDist, RegularityConstants
 
 #: bytes of samples ``empirical_gaussian`` copies at a time; a stack of fits
 #: is made in chunks of this size, so its transient stays small
-_FIT_CHUNK_BYTES = 1 << 19
+_FIT_CHUNK_BYTES = 1 << 18
 
 
 def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
@@ -232,10 +232,10 @@ def w2_bound_sequence(inputs: BoundInputs, beta_mode: str = "per_round") -> np.n
     const = drift_free_term(inputs)
     d, pc = inputs.dim, inputs.p_c
 
-    # the initial distance contracted once per round, one factor at a time
-    contracted = np.multiply.accumulate(np.r_[inputs.w2_init_sq, np.full(S, r2)])[1:]
+    out = np.empty(beta.shape[:-1] + (S + 1,))
+    out[..., 0] = inputs.w2_init_sq
+    channel = out[..., 1:]
     if beta_mode == "per_round":
-        channel = np.empty_like(beta)
         acc = 0.0
         for s, b in enumerate(np.moveaxis(beta, -1, 0)):
             acc = acc * r2 + r2 * d * b
@@ -245,11 +245,11 @@ def w2_bound_sequence(inputs: BoundInputs, beta_mode: str = "per_round") -> np.n
         last = np.maximum.accumulate(np.where(beta > 0.0, np.arange(S), -1), axis=-1)
         last_beta = np.where(last >= 0, np.take_along_axis(beta, np.maximum(last, 0), axis=-1), 0.0)
         geometric = np.array([1.0 - r2 ** s for s in range(1, S + 1)])
-        channel = last_beta * pc * d * r2 * geometric / (1.0 - r2)
-
-    out = np.empty(beta.shape[:-1] + (S + 1,))
-    out[..., 0] = inputs.w2_init_sq
-    out[..., 1:] = contracted + channel + const
+        channel[...] = last_beta * pc * d * r2 * geometric / (1.0 - r2)
+    # the initial distance contracted once per round, one factor at a time
+    contracted = np.multiply.accumulate(np.r_[inputs.w2_init_sq, np.full(S, r2)])[1:]
+    np.add(contracted, channel, out=channel)
+    channel += const
     return out
 
 
