@@ -115,9 +115,9 @@ def _power_branch(payloads: np.ndarray, gains: np.ndarray, power: float) -> np.n
     A masked min over the device axis; inf where every payload is zero.
     """
     norms = np.linalg.norm(payloads, axis=-1)
-    tiny = norms < _TINY_NORM
-    if tiny.any():
+    if norms.min() < _TINY_NORM:
         # squares that underflow lose their bits: take those norms at unit scale
+        tiny = norms < _TINY_NORM
         rows = np.asarray(payloads, dtype=float)[tiny]
         scale = np.abs(rows).max(axis=-1, keepdims=True)
         scale[scale == 0.0] = 1.0
