@@ -32,6 +32,14 @@ entropy hash in numpy ``uint32`` arithmetic: the words every path shares
 vary (replicate, stream, device) are hashed for the whole block in a few
 vectorized steps.  The keys are those of the spawn tree, bit for bit
 (``tests/test_rng.py`` checks them against numpy's own ``SeedSequence``).
+
+Scope: the streams are the same on every machine, but runs are bitwise
+reproducible only on one CPU class.  A mini-batch is the first m indices of
+an ``np.argpartition`` of the batch stream's keys; the index set is fixed by
+the stream, while the order inside it comes from numpy's CPU-dispatched
+selection code (ascending for shards of up to 256 samples, the SIMD
+kernel's order above that on AVX2 and AVX-512 machines, introselect's order
+without AVX2).  That order sets the rounding of the mini-batch gradient sum.
 """
 
 from __future__ import annotations
