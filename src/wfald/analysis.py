@@ -80,10 +80,10 @@ def empirical_gaussian(samples: np.ndarray) -> GaussianDist:
     cov = np.empty((len(flat), d, d))
     step = max(1, _FIT_CHUNK_BYTES // (8 * n * d))
     for start in range(0, len(flat), step):
+        # a C-order copy, as np.cov makes, so each item's rows are summed in
+        # the order of a single (n, d) fit
         x = np.array(flat[start:start + step], order="C")
-        # numpy sums a single column pairwise but several columns row by row;
-        # summing each item's own axis keeps the order of a single fit
-        mu = x[..., 0].mean(axis=-1, keepdims=True) if d == 1 else x.mean(axis=-2)
+        mu = x.mean(axis=-2)
         x -= mu[:, None, :]
         gram = np.swapaxes(x, -1, -2) @ x
         gram *= np.true_divide(1, n - 1)
@@ -248,6 +248,7 @@ def w2_bound_sequence(inputs: BoundInputs, beta_mode: str = "per_round") -> np.n
         channel[...] = last_beta * pc * d * r2 * geometric / (1.0 - r2)
     # the initial distance contracted once per round, one factor at a time
     contracted = np.multiply.accumulate(np.r_[inputs.w2_init_sq, np.full(S, r2)])[1:]
+    # (contracted + channel) + const, as the round-by-round recursion adds them
     np.add(contracted, channel, out=channel)
     channel += const
     return out

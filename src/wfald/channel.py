@@ -148,9 +148,10 @@ def inversion_power_gain(payloads: np.ndarray, gains: np.ndarray, power: float):
 
 
 def _finite_gain(alpha, gains):
-    """alpha, 1 where every payload is zero, and small enough that alpha / h_k
-    stays finite on every device: a huge alpha on a near-zero payload would
-    otherwise overflow the scaled signal, or make inf * 0 on an idle device.
+    """alpha, with 1 where every payload is zero, capped so alpha / h_k stays finite.
+
+    A huge alpha on a near-zero payload would otherwise overflow the scaled
+    signal, or make inf * 0 on an idle device.
     """
     # every payload zero: any gain transmits the zero signal
     alpha = np.where(np.isfinite(alpha), alpha, 1.0)

@@ -124,7 +124,7 @@ class TestBatchedFits:
         np.testing.assert_allclose(fit.covariance[2], raw, atol=1e-14)
 
     def test_one_dimensional_stack(self):
-        # numpy sums a lone column pairwise: the stack must do the same
+        # numpy sums a lone column pairwise, several columns row by row
         samples = np.random.default_rng(4).standard_normal((4, 300, 1)) * 7.0 + 1e3
         self.check_stack(samples, gauss([1e3], [[49.0]]))
 

@@ -165,6 +165,14 @@ def test_gaussian_dist_validation():
         GaussianDist(mean=np.zeros(2), covariance=np.array([[1.0, 0.5], [0.4, 1.0]]))
     with pytest.raises(ValueError):
         GaussianDist(mean=np.zeros(2), covariance=np.array([[1.0, 2.0], [2.0, 1.0]]))
+    # a stack is checked item by item, each on its own scale
+    good = np.array([np.eye(2), 1e-6 * np.eye(2), 1e6 * np.eye(2)])
+    assert GaussianDist(mean=np.zeros((3, 2)), covariance=good).dim == 2
+    for bad in ([[1.0, 0.5], [0.4, 1.0]], [[1.0, 2.0], [2.0, 1.0]]):
+        with pytest.raises(ValueError):
+            GaussianDist(mean=np.zeros((3, 2)), covariance=np.concatenate([good[:2], [bad]]))
+    with pytest.raises(ValueError, match="shape"):
+        GaussianDist(mean=np.zeros((3, 2)), covariance=np.eye(2))
 
 
 # ---------------------------------------------------------- constants --- #
