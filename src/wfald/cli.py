@@ -2,15 +2,14 @@
 
 Subcommands: ``run`` (single configuration, writes summary.json and
 iterations.csv), ``sweep`` (grid of configurations, writes results.csv and
-manifest.json), ``plotdata`` (reshape results into tidy plotting series) and
-``validate`` (fast self-checks).  Exit codes: 0 success, 1 configuration
-problem, 2 protocol failure at runtime (power violation, divergence).
+manifest.json) and ``plotdata`` (reshape results into tidy plotting series).
+Exit codes: 0 success, 1 configuration problem, 2 protocol failure at
+runtime (power violation, divergence).
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -19,11 +18,9 @@ import numpy as np
 
 from .channel import ProtocolError
 from .harness import (ConfigurationError, FIGURES, ITERATION_COLUMNS,
-                      bound_skip_reason, build_dataset, build_run_config,
+                      bound_skip_reason, build_run_config,
                       build_sweep_spec, config_record, emit_plotdata, evaluate, parse_config,
                       plotdata_csv, run_sweep, write_csv)
-from .model import exact_posterior
-from .protocol import run
 
 
 def _config_args(sub):
@@ -53,8 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_plot.add_argument("--figure", required=True, choices=FIGURES)
     p_plot.add_argument("--format", choices=("csv", "json"), default="csv")
     p_plot.add_argument("--output", help="output file (default: stdout)")
-
-    subs.add_parser("validate", help="run fast built-in self-checks")
     return parser
 
 
@@ -66,7 +61,7 @@ def _cmd_run(args) -> int:
     os.makedirs(args.output, exist_ok=True)
     payload = {"config": config_record(result.config), "summary": summary,
                "bound_note": bound_note,
-               "region_radius": result.region_radius,
+               "region_radius": result.constants.region_radius,
                "constants": {
                    "smoothness": result.constants.smoothness,
                    "strong_convexity": result.constants.strong_convexity,
@@ -111,64 +106,6 @@ def _cmd_plotdata(args) -> int:
     return 0
 
 
-def _cmd_validate() -> int:
-    from .model import Dataset
-    from .protocol import RunConfig
-    from .rng import generator, seed_sequence
-
-    failures = 0
-
-    def report(name, ok, detail=""):
-        nonlocal failures
-        line = f"{'PASS' if ok else 'FAIL'}  {name}"
-        if detail and not ok:
-            line += f"  ({detail})"
-        print(line)
-        failures += 0 if ok else 1
-
-    # closed-form posterior on a hand-checked one-dimensional problem
-    data = Dataset(covariates=np.array([[1.0, 1.0]]), targets=np.array([1.0, 2.0]))
-    post = exact_posterior(data)
-    ok = np.allclose(post.mean, [1.0]) and np.allclose(post.covariance, [[1.0 / 3.0]])
-    report("posterior closed form", ok)
-
-    # drawing a block of variates consumes a stream exactly like repeated draws
-    g1 = generator(seed_sequence(7, 2, 0, 0, 0))
-    g2 = generator(seed_sequence(7, 2, 0, 0, 0))
-    block = g1.standard_normal((5, 3))
-    seq = np.stack([g2.standard_normal(3) for _ in range(5)])
-    report("stream chunk invariance", np.array_equal(block, seq))
-
-    cfg = RunConfig(algorithm="WFALD", k=4, dim=2, n_samples=40, s_total=12,
-                    s_burn=4, snr_db=15.0, replicates=1, p_b=0.5,
-                    theta_star=np.array([1.0, -1.0]), store_batch_indices=True)
-    data = build_dataset(cfg)
-    r1 = run(cfg, data)
-    r2 = run(cfg, data)
-    report("replay determinism", np.array_equal(r1.avg_traj, r2.avg_traj))
-
-    cfg_f = dataclasses.replace(cfg, algorithm="FALD")
-    r3 = run(cfg_f, data)
-    same_flags = np.array_equal(r1.flags, r3.flags)
-    same_batches = all(
-        np.array_equal(a, b)
-        for a, b in zip(r1.batch_indices[0], r3.batch_indices[0]))
-    report("scheduling equivalence across algorithms", same_flags and same_batches)
-
-    use = r1.power_use[~np.isnan(r1.power_use)]
-    report("transmit power respected", use.size > 0 and bool((use <= 1 + 1e-9).all()))
-
-    hi = run(dataclasses.replace(cfg, snr_db=60.0, store_batch_indices=False), data)
-    lo = run(dataclasses.replace(cfg, snr_db=-10.0, store_batch_indices=False), data)
-    hi_beta = np.nanmax(hi.beta)
-    lo_beta = np.nanmax(lo.beta)
-    report("residual channel noise regimes", hi_beta == 0.0 and lo_beta > 0.0,
-           f"high-SNR beta {hi_beta}, low-SNR beta {lo_beta}")
-
-    print("all checks passed" if failures == 0 else f"{failures} check(s) failed")
-    return 0 if failures == 0 else 1
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -177,9 +114,7 @@ def main(argv=None) -> int:
             return _cmd_run(args)
         if args.command == "sweep":
             return _cmd_sweep(args)
-        if args.command == "plotdata":
-            return _cmd_plotdata(args)
-        return _cmd_validate()
+        return _cmd_plotdata(args)
     except (ConfigurationError, FileNotFoundError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1

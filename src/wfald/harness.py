@@ -416,8 +416,7 @@ def sweep_configs(spec: SweepSpec) -> list[RunConfig]:
         configs.append(dataclasses.replace(
             spec.base, algorithm=algo,
             p_c=spec.base.p_c if pc is None else pc,
-            snr_db=snr, replicates=spec.replicates, seed_path=path,
-            store_batch_indices=False))
+            snr_db=snr, replicates=spec.replicates, seed_path=path))
     return configs
 
 

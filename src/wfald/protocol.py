@@ -50,8 +50,8 @@ reports as a failure naming the channel gain.
 
 Invariance.  Philox streams are counter based, so a stream drawn in blocks of
 any size yields exactly the values per-round draws yield (pinned by
-``tests/test_rng.py`` and ``wfald validate``), and every replicate's
-arithmetic is the same element-wise sequence whatever block it sits in.
+``tests/test_rng.py``), and every replicate's arithmetic is the same
+element-wise sequence whatever block it sits in.
 Outputs are therefore bitwise independent of ``REPLICATE_BLOCK`` and
 ``TAPE_WINDOW``; both are memory/speed constants, not settings.  A
 ``ProtocolError`` names the earliest failing round and, within it, the
@@ -129,7 +129,6 @@ class RunConfig:
     region_radius: float | None = None
     tau_override: float | None = None
     force_final_agg: bool | None = None
-    store_batch_indices: bool = False
     seed_path: tuple = (0, 0)
 
     def validate(self):
@@ -217,7 +216,6 @@ class RunResult:
 
     config: RunConfig
     constants: RegularityConstants
-    region_radius: float
     flags: np.ndarray
     avg_traj: np.ndarray
     device_mean: np.ndarray
@@ -228,7 +226,6 @@ class RunResult:
     alpha: np.ndarray
     power_use: np.ndarray
     final_agg_forced: bool
-    batch_indices: list | None = None
 
 
 # ------------------------------------------------------------- internals --- #
@@ -307,7 +304,7 @@ class _Tape:
     """
 
     def __init__(self, config: RunConfig, chan: ChannelConfig, groups, first: int,
-                 count: int, force_final: bool, batch_out: list | None):
+                 count: int, force_final: bool):
         self.config, self.chan, self.groups = config, chan, groups
         self.replicates = range(first, first + count)
         self.streams = _rng.run_streams(config.master_seed, self.replicates, config.k,
@@ -319,7 +316,6 @@ class _Tape:
         self.wireless = config.algorithm in ("WFALD", "WFedAvg")
         self.langevin = config.algorithm in ("WFALD", "FALD", "SGLD")
         self.restoring = config.algorithm == "WFALD" and chan.noise_level == 0.0
-        self.batch_out = batch_out
 
     def submit(self, helper: ThreadPoolExecutor, s0: int, s1: int) -> Future:
         gains = None
@@ -340,7 +336,7 @@ class _Tape:
         over_air = agg if self.wireless else np.zeros_like(agg)
 
         batch = []
-        for gi, g in enumerate(self.groups):
+        for g in self.groups:
             if g.samples is None:
                 batch.append(None)
                 continue
@@ -352,8 +348,6 @@ class _Tape:
                 for j, k in enumerate(range(g.devices.start, g.devices.stop)):
                     st.batch[k].random(out=keys[j])
                 chosen = np.argpartition(keys, g.m, axis=2)[:, :, :g.m]
-                if self.batch_out is not None:
-                    self.batch_out[self.replicates[b]][gi][:, s0:s1] = chosen
                 np.add(chosen.transpose(1, 0, 2), first_row, out=rows[:, b])
             batch.append(rows)
 
@@ -624,7 +618,7 @@ def run(config: RunConfig, data: Dataset) -> RunResult:
     if force_final is None:
         force_final = config.algorithm == "WFedAvg"
     result = RunResult(
-        config=config, constants=constants, region_radius=radius,
+        config=config, constants=constants,
         flags=np.empty((R, S), dtype=bool),
         avg_traj=np.zeros((R, S + 1, d)),
         device_mean=np.empty((R, K, d)),
@@ -636,12 +630,6 @@ def run(config: RunConfig, data: Dataset) -> RunResult:
         power_use=np.full((R, S), np.nan),
         final_agg_forced=force_final,
     )
-    if config.store_batch_indices:
-        result.batch_indices = [
-            [None if g.samples is None
-             else np.empty((g.devices.stop - g.devices.start, S, g.m), dtype=np.intp)
-             for g in groups]
-            for _ in range(R)]
 
     # balanced blocks; a failure found in one block limits later blocks to
     # earlier rounds, since their replicates rank after it within a round
@@ -649,7 +637,7 @@ def run(config: RunConfig, data: Dataset) -> RunResult:
     edges = [R * j // n_blocks for j in range(n_blocks + 1)]
     failure, stop = None, S
     # built lazily on this thread; the condition reads the current stop
-    tapes = (_Tape(config, chan, groups, first, end - first, force_final, result.batch_indices)
+    tapes = (_Tape(config, chan, groups, first, end - first, force_final)
              for first, end in zip(edges[:-1], edges[1:]) if stop > 0)
     with ThreadPoolExecutor(max_workers=1) as helper:
         windows = _windows(helper, tapes, lambda: stop)

@@ -80,6 +80,22 @@ def fald_round(thetas: np.ndarray, shards, streams, eta: float, p_b: float, p_c:
     return thetas[0].copy(), grads
 
 
+def replay_batches(config, data, replicate: int = 0) -> list:
+    """Each device's (S, m_k) mini-batch indices in one replicate, None at full batch.
+
+    A device's batch stream is read once per round whatever the algorithm,
+    so these are the batches of every protocol run under ``config``'s seed.
+    """
+    [streams] = run_streams(config.master_seed, range(replicate, replicate + 1), config.k,
+                            config.seed_path)
+    out = []
+    for shard, rng in zip(partition_even(data, config.k), streams.batch):
+        m = batch_size(config.p_b, shard.size)
+        out.append(None if m >= shard.size else
+                   np.array([draw_batch(rng, shard.size, m) for _ in range(config.s_total)]))
+    return out
+
+
 def replay_fald(config, data, replicate: int = 0):
     """Replay one replicate of a FALD run.
 

@@ -52,7 +52,8 @@ def test_unknown_key_is_a_configuration_error(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key", ["store_device_trajectories", "thin_stride"])
+@pytest.mark.parametrize("key", ["store_device_trajectories", "thin_stride",
+                                 "store_batch_indices"])
 def test_removed_storage_keys_are_unknown(key, tmp_path, capsys):
     code = main(["run", "--set", f"{key}=1", "--output", str(tmp_path)])
     assert code == 1
@@ -182,17 +183,15 @@ def test_sweep_then_plotdata(tmp_path, capsys):
     assert [r["x"] for r in records] == [0.5, 1.0]
 
 
-def test_validate_passes(capsys):
-    assert main(["validate"]) == 0
-    out = capsys.readouterr().out
-    assert "FAIL" not in out
-    assert out.count("PASS") >= 6
-
-
-def test_missing_subcommand_is_a_usage_error():
+def test_missing_subcommand_is_a_usage_error(capsys):
+    """No subcommand, or the removed ``validate``, exits 2 with argparse's usage error."""
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args([])
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["validate"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'validate'" in capsys.readouterr().err
 
 
 def test_plotdata_unknown_figure_rejected():

@@ -51,8 +51,7 @@ def run_configs(draw):
         replicates=draw(st.integers(1, 10**4)),
         region_radius=draw(st.none() | positive),
         tau_override=draw(st.none() | unit) if algorithm == "FALD" else None,
-        force_final_agg=draw(st.none() | st.booleans()),
-        store_batch_indices=draw(st.booleans()))
+        force_final_agg=draw(st.none() | st.booleans()))
 
 
 def _text(value) -> str:

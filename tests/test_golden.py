@@ -1,7 +1,8 @@
 """Golden reference: engine outputs and run summaries on tiny configs, pinned in fixtures.
 
 ``tests/data/golden.npz`` holds the outputs of every algorithm on small
-configurations, written once by the engine these tests guard.  Integer and
+configurations, written once by the engine these tests guard, and their
+mini-batches as the round-by-round oracle replays them.  Integer and
 boolean outputs, and the exact zeros of ``v_theta`` and ``beta``, must match
 bitwise; floating-point outputs must match to a relative tolerance of 1e-10,
 which leaves room for reassociated arithmetic and nothing else.
@@ -22,8 +23,10 @@ import sys
 import numpy as np
 import pytest
 
+from round_reference import replay_batches
 from wfald.harness import (ITERATION_COLUMNS, RESULT_COLUMNS, bound_skip_reason,
                            build_dataset, evaluate)
+from wfald.model import partition_even
 from wfald.protocol import RunConfig, run
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "golden.npz")
@@ -45,7 +48,7 @@ ATOL = {
 
 BASE = dict(k=4, dim=2, n_samples=18, eta=1e-2, p_c=0.5, p_b=0.5,
             s_total=16, s_burn=4, snr_db=20.0, master_seed=23, replicates=3,
-            theta_star=np.array([1.0, -2.0]), store_batch_indices=True)
+            theta_star=np.array([1.0, -2.0]))
 
 CASES = {
     "wfald": dict(algorithm="WFALD"),
@@ -75,8 +78,14 @@ def case_config(name: str) -> RunConfig:
     return RunConfig(**{**BASE, **CASES[name]})
 
 
-def outputs(result) -> dict:
-    """Every pinned output of a run as named arrays."""
+def outputs(result, data) -> dict:
+    """Every pinned output of a run as named arrays.
+
+    ``batches_r{r}_g{g}`` stacks replicate r's mini-batches of the devices
+    with the g-th smallest shard size, from the oracle's replay of the batch
+    streams.  The engine keeps no record of its batches; its trajectories,
+    pinned here, pin them.
+    """
     out = {
         "flags": result.flags,
         "avg_traj": result.avg_traj,
@@ -88,22 +97,26 @@ def outputs(result) -> dict:
         "alpha": result.alpha,
         "power_use": result.power_use,
     }
-    for r, groups in enumerate(result.batch_indices):
-        for g, idx in enumerate(groups):
-            if idx is not None:
-                out[f"batches_r{r}_g{g}"] = idx
+    cfg = result.config
+    sizes = [shard.size for shard in partition_even(data, cfg.k)]
+    for r in range(cfg.replicates):
+        batches = replay_batches(cfg, data, r)
+        for g, n in enumerate(sorted(set(sizes))):
+            rows = [idx for size, idx in zip(sizes, batches) if size == n]
+            if rows[0] is not None:
+                out[f"batches_r{r}_g{g}"] = np.stack(rows)
     return out
 
 
 def compute(name: str) -> dict:
     cfg = case_config(name)
-    return outputs(run(cfg, build_dataset(cfg)))
+    data = build_dataset(cfg)
+    return outputs(run(cfg, data), data)
 
 
 def compute_summary(name: str) -> dict:
     """Summary row, iteration table and bound note of one summary case."""
-    cfg = RunConfig(**{**BASE, **SUMMARY_CASES[name], "replicates": SUMMARY_REPLICATES,
-                       "store_batch_indices": False})
+    cfg = RunConfig(**{**BASE, **SUMMARY_CASES[name], "replicates": SUMMARY_REPLICATES})
     result, summary, table = evaluate(cfg)
     return {
         "algorithm": np.array(summary["algorithm"]),

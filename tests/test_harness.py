@@ -28,12 +28,19 @@ from wfald.harness import (
     sweep_points,
 )
 from wfald.analysis import empirical_gaussian, gaussian_w2_squared
+from wfald.cli import build_parser
 from wfald.model import exact_posterior
 from wfald.protocol import BENCHMARK_THETA_STAR, RunConfig, run
 
 
 SMALL = {"k": "3", "dim": "2", "n_samples": "12", "eta": "0.01",
          "s_total": "10", "s_burn": "4", "theta_star": "1.0, -2.0"}
+
+
+def _readme_section(heading: str) -> str:
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        return fh.read().split(f"## {heading}", 1)[1].split("\n## ", 1)[0]
 
 
 class TestConfigParsing:
@@ -84,20 +91,22 @@ class TestConfigParsing:
         np.testing.assert_allclose(cfg.theta_star, [1.0, -2.0])
 
     def test_readme_lists_exactly_the_parseable_keys(self):
-        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
-        with open(readme, encoding="utf-8") as fh:
-            text = fh.read().split("## Config grammar", 1)[1].split("\n## ", 1)[0]
+        text = _readme_section("Config grammar")
         table = re.findall(r"^\| `([\w.]+)` \|", text, flags=re.MULTILINE)
         sweep = re.findall(r"`(sweep\.\w+)`", text)
         assert sorted(table) == sorted(k for k in _PARSERS if not k.startswith("sweep."))
         assert sorted(set(sweep)) == sorted(k for k in _PARSERS if k.startswith("sweep."))
 
+    def test_readme_lists_exactly_the_subcommands(self):
+        listed = re.findall(r"^wfald (\w+)", _readme_section("Command line"), flags=re.MULTILINE)
+        choices = re.search(r"\{([\w,]+)\}", build_parser().format_usage()).group(1)
+        assert sorted(set(listed)) == sorted(choices.split(","))
+
     def test_typed_fields(self):
-        cfg = build_run_config({**SMALL, "store_batch_indices": "yes",
-                                "force_final_agg": "none", "tau_override": "none",
+        cfg = build_run_config({**SMALL, "force_final_agg": "yes", "tau_override": "none",
                                 "algorithm": "WFALD", "snr_db": "12.5"})
-        assert cfg.store_batch_indices is True
-        assert cfg.force_final_agg is None
+        assert cfg.force_final_agg is True
+        assert cfg.tau_override is None
         assert cfg.snr_db == 12.5
         assert isinstance(cfg.k, int)
 

@@ -1,5 +1,6 @@
 """Engine tests: determinism, reference-equality, scheduling, failure modes."""
 
+import collections
 import dataclasses
 import threading
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import wfald.protocol as protocol
-from round_reference import replay_fald
+from round_reference import replay_batches, replay_fald
 from wfald.channel import ChannelConfig, ProtocolError
 from wfald.harness import build_dataset
 from wfald.protocol import RunConfig, run
@@ -84,22 +85,38 @@ def test_sgld_step_size_is_matched_to_the_round_clock():
     assert res.config.eta == pytest.approx(1e-2, rel=1e-15)
 
 
-def test_algorithms_share_schedule_and_batches():
-    """Same seed means same flags and same minibatch draws across algorithms."""
-    kw = dict(store_batch_indices=True, force_final_agg=False)
-    cfg_w = small_config(algorithm="WFALD", **kw)
+def test_algorithms_share_schedule_and_batches(monkeypatch):
+    """Same seed means same flags and the oracle's mini-batches in every algorithm.
+
+    A spy on ``_Tape.fill`` reads each window's batch rows back as shard
+    indices: device j of group g owns rows j * g.n to (j + 1) * g.n - 1.
+    """
+    fill = protocol._Tape.fill
+    seen = collections.defaultdict(list)
+
+    def spy(tape, s0, s1, gains):
+        window = fill(tape, s0, s1, gains)
+        for g, rows in zip(tape.groups, window.batch):
+            for b, r in enumerate(tape.replicates):
+                for j, k in enumerate(range(g.devices.start, g.devices.stop)):
+                    seen[r, k].append(rows[:, b, j] - j * g.n)
+        return window
+
+    monkeypatch.setattr(protocol._Tape, "fill", spy)
+    kw = dict(force_final_agg=False, replicates=2)
+    cfg_w = small_config(algorithm="WFALD", snr_db=5.0, gain_model="rayleigh", **kw)
     data = build_dataset(cfg_w)
-    res = {
-        "WFALD": run(cfg_w, data),
-        "FALD": run(small_config(algorithm="FALD", **kw), data),
-        "WFedAvg": run(small_config(algorithm="WFedAvg", **kw), data),
-    }
+    want = {(r, k): idx for r in range(2) for k, idx in enumerate(replay_batches(cfg_w, data, r))}
+    res = {}
+    for name, cfg in (("WFALD", cfg_w), ("FALD", small_config(algorithm="FALD", **kw)),
+                      ("WFedAvg", small_config(algorithm="WFedAvg", **kw))):
+        seen.clear()
+        res[name] = run(cfg, data)
+        for key, idx in want.items():
+            assert np.array_equal(np.concatenate(seen[key]), idx), (name, key)
     base = res["WFALD"]
     for name in ("FALD", "WFedAvg"):
-        other = res[name]
-        assert np.array_equal(base.flags, other.flags)
-        for g_base, g_other in zip(base.batch_indices[0], other.batch_indices[0]):
-            assert np.array_equal(g_base, g_other)
+        assert np.array_equal(base.flags, res[name].flags)
     # the trajectories themselves still differ (channel noise, missing noise)
     assert not np.allclose(base.avg_traj, res["FALD"].avg_traj)
     assert not np.allclose(base.avg_traj, res["WFedAvg"].avg_traj)
@@ -187,8 +204,7 @@ def test_earliest_failing_round_is_reported(monkeypatch, block):
 ], ids=["WFALD", "FALD", "SGLD", "WFedAvg", "WFALD-noiseless", "FALD-tau"])
 def test_outputs_are_bitwise_invariant_under_block_and_window(monkeypatch, settings):
     rayleigh = dict(snr_db=5.0, gain_model="rayleigh") if settings["algorithm"] != "SGLD" else {}
-    cfg = small_config(**{**rayleigh, **settings}, replicates=5, n_samples=14,
-                       store_batch_indices=True)
+    cfg = small_config(**{**rayleigh, **settings}, replicates=5, n_samples=14)
     data = build_dataset(cfg)
     fields = ("flags", "avg_traj", "device_mean", "theta_final", "v_theta", "v_c",
               "beta", "alpha", "power_use")
@@ -201,14 +217,11 @@ def test_outputs_are_bitwise_invariant_under_block_and_window(monkeypatch, setti
         monkeypatch.setattr(protocol, "REPLICATE_BLOCK", block)
         monkeypatch.setattr(protocol, "TAPE_WINDOW", window)
         res = run(cfg, data)
-        outputs.append(([getattr(res, f) for f in fields], res.batch_indices))
-    (ref, ref_batches), *others = outputs
-    for arrays, batches in others:
+        outputs.append([getattr(res, f) for f in fields])
+    ref, *others = outputs
+    for arrays in others:
         for name, a, b in zip(fields, ref, arrays):
             assert np.array_equal(a, b, equal_nan=True), name
-        for groups_a, groups_b in zip(ref_batches, batches):
-            for a, b in zip(groups_a, groups_b):
-                assert (a is None and b is None) or np.array_equal(a, b)
 
 
 class _HelperFailure(Exception):
