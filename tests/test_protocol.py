@@ -106,7 +106,8 @@ def test_algorithms_share_schedule_and_batches(monkeypatch):
     kw = dict(force_final_agg=False, replicates=2)
     cfg_w = small_config(algorithm="WFALD", snr_db=5.0, gain_model="rayleigh", **kw)
     data = build_dataset(cfg_w)
-    want = {(r, k): idx for r in range(2) for k, idx in enumerate(replay_batches(cfg_w, data, r))}
+    want = {(r, k): idx for r in range(cfg_w.replicates)
+            for k, idx in enumerate(replay_batches(cfg_w, data, r))}
     res = {}
     for name, cfg in (("WFALD", cfg_w), ("FALD", small_config(algorithm="FALD", **kw)),
                       ("WFedAvg", small_config(algorithm="WFedAvg", **kw))):
