@@ -8,10 +8,10 @@ convergence-bound evaluators and a deterministic sweep harness.
 """
 
 from ._version import __version__
-from .analysis import (BoundInputs, batch_means_se, contraction_gamma,
-                       drift_bounds, drift_free_term, empirical_gaussian,
-                       gaussian_w2_squared, per_device_mse, predictive_error,
-                       running_mse, w2_bound_sequence)
+from .analysis import (BoundInputs, contraction_gamma, drift_bounds,
+                       drift_free_term, empirical_gaussian, gaussian_w2_squared,
+                       per_device_mse, predictive_error, running_mse,
+                       w2_bound_sequence)
 from .channel import (ChannelConfig, ProtocolError, check_power,
                       inversion_power_gain, noma_superpose, power_gain,
                       receive_aggregate, residual_noise_power)
@@ -31,7 +31,7 @@ __all__ = [
     "Dataset", "GaussianDist", "LocalDataset",
     "ProtocolError", "RegularityConstants", "RunConfig", "RunResult",
     "SweepSpec",
-    "batch_means_se", "batch_size", "build_dataset", "build_run_config",
+    "batch_size", "build_dataset", "build_run_config",
     "build_sweep_spec", "build_test_set", "check_power", "contraction_gamma",
     "drift_bounds", "drift_free_term",
     "emit_plotdata", "empirical_gaussian", "evaluate", "exact_posterior",

@@ -329,20 +329,17 @@ def summarize_run(result: RunResult, posterior, test_inputs=None, test_targets=N
     vc_iter = result.v_c.mean(axis=0)
     _, vc_bound_iter = drift_bounds(result.constants, cfg.eta, cfg.p_c, cfg.k, cfg.dim, vt_iter)
 
-    table = []
-    for s in range(1, S + 1):
-        table.append({
-            "s": s,
-            "mse": float(mse_run[s - 1]),
-            "w2_sq": float(w2_per_iter[s - 1]),
-            "bound": float(bound_per_iter[s - 1]),
-            "v_theta": float(vt_iter[s - 1]),
-            "v_c": float(vc_iter[s - 1]),
-            "v_theta_bound": vt_bound,
-            "v_c_bound": float(vc_bound_iter[s - 1]),
-            "beta": float(betas[:, s - 1].mean()),
-            "alpha": float(alpha_mean[s - 1]),
-        })
+    # each round's mean over a contiguous row sums the replicates exactly as
+    # a mean over one column of ``betas`` does; betas.mean(axis=0) does not
+    beta_iter = np.ascontiguousarray(betas.T).mean(axis=1)
+    # map(float) rather than tolist(): S-long lists of every column would add
+    # to the table's peak memory
+    columns = zip(*(map(float, col) for col in (mse_run, w2_per_iter, bound_per_iter,
+                                                 vt_iter, vc_iter, vc_bound_iter,
+                                                 beta_iter, alpha_mean)))
+    table = [{"s": s, "mse": mse, "w2_sq": w2, "bound": bound, "v_theta": vt, "v_c": vc,
+              "v_theta_bound": vt_bound, "v_c_bound": vcb, "beta": beta, "alpha": alpha}
+             for s, (mse, w2, bound, vt, vc, vcb, beta, alpha) in enumerate(columns, 1)]
     return summary, table
 
 

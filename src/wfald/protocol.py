@@ -31,6 +31,12 @@ gains, the receiver noise and, for a noiseless WFALD channel, the block that
 restores the Langevin noise.  It then draws each of those streams
 ``TAPE_WINDOW`` rounds at a time, in the order a round-by-round run consumes
 it, so memory stays bounded by the block and the window, not by the run.
+The block is 32 so that a sweep point of 20 to 24 replicates runs as one
+block and pays each round's numpy calls once.  To keep that block's memory
+small, a window's mini-batch rows are stored in the narrowest signed integer
+type that indexes their sample table (16-bit at the reference problem), and
+the calling thread drops its references to a window before it waits for the
+next one.
 
 Threads.  :func:`run` owns one helper thread for its duration and joins it
 before it returns or raises.  The calling thread derives each block's
@@ -86,12 +92,14 @@ ALGORITHMS = ("WFALD", "FALD", "SGLD", "WFedAvg")
 #: benchmark regression coefficients for the d = 5 reference problem
 BENCHMARK_THETA_STAR = np.array([-0.0615, -1.6057, 1.7629, 1.0240, -1.5902])
 
-#: replicates advanced together; sized so a block's tape and per-round
-#: arrays stay within a few MB at the reference problem (K=30, n=1200)
-REPLICATE_BLOCK = 16
+#: replicates advanced together: 32 runs a 20- to 24-replicate sweep point as
+#: one block, and a window of 32 holds 1.25 MB at the reference problem
+#: (K=30, n=1200; pinned by tests/test_protocol.py)
+REPLICATE_BLOCK = 32
 
 #: rounds of every random stream drawn at once; two windows are in memory
 #: while one is drawn ahead, and 32 rounds put a sweep's peak RSS up 6 %
+#: (measured at 16 replicates per block)
 TAPE_WINDOW = 16
 
 
@@ -341,7 +349,9 @@ class _Tape:
                 batch.append(None)
                 continue
             size = g.devices.stop - g.devices.start
-            rows = np.empty((w, B, size, g.m), dtype=np.intp)
+            # the narrowest signed type that holds every row of the table; a
+            # row that overflowed it would wrap negative, which take() accepts
+            rows = np.empty((w, B, size, g.m), dtype=np.min_scalar_type(-len(g.samples)))
             keys = np.empty((size, w, g.n))
             first_row = (np.arange(size) * g.n)[:, None]
             for b, st in enumerate(self.streams):
@@ -412,11 +422,14 @@ def _windows(helper: ThreadPoolExecutor, tapes, stop):
     pending = next(queue, None)
     while pending is not None:
         ahead = next(queue, None)  # submit the next window before waiting on this one
-        tape, future = pending
+        # no name here keeps a window once the caller is done with it, so it
+        # is freed before the next wait
+        (tape, future), pending = pending, ahead
         window = future.result()
+        del future
         if window.s0 < stop():
             yield tape, window
-        pending = ahead
+        del window
 
 
 def _over_the_air(config: RunConfig, chan: ChannelConfig, win: _Window, i: int, s: int,
@@ -573,6 +586,8 @@ def _advance(config: RunConfig, chan: ChannelConfig, groups, A_global, b_global,
         diff = ((np.einsum("de,bwe->bwd", A_global, avg_traj[:, s0:s1]) - b_global)
                 - np.stack(grad_sums, axis=1))
         v_c[:, s0:s1] = np.einsum("bwd,bwd->bw", diff, diff)
+        # free this window before the next one is waited for
+        del win, states, grad_sums, kept, dev, diff
 
     out.flags[rows] = tape.flags
     out.device_mean[rows] = mean_acc / config.s_use
@@ -642,8 +657,9 @@ def run(config: RunConfig, data: Dataset) -> RunResult:
     with ThreadPoolExecutor(max_workers=1) as helper:
         windows = _windows(helper, tapes, lambda: stop)
         for tape, block in itertools.groupby(windows, key=operator.itemgetter(0)):
+            # map, unlike a generator expression, keeps no window while it waits
             found = _advance(config, chan, groups, A_global, b_global, tape,
-                             (window for _, window in block), stop, result)
+                             map(operator.itemgetter(1), block), stop, result)
             if found is not None:
                 stop, failure = found
     if failure is not None:

@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from batch_means import batch_means_se
 from wfald.analysis import (
     BoundInputs,
-    batch_means_se,
     drift_bounds,
     empirical_gaussian,
     gaussian_w2_squared,

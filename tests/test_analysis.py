@@ -6,9 +6,9 @@ import warnings
 import numpy as np
 import pytest
 
+from batch_means import batch_means_se
 from wfald.analysis import (
     BoundInputs,
-    batch_means_se,
     contraction_gamma,
     drift_bounds,
     drift_free_term,

@@ -3,6 +3,8 @@
 import collections
 import dataclasses
 import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ import wfald.protocol as protocol
 from round_reference import replay_batches, replay_fald
 from wfald.channel import ChannelConfig, ProtocolError
 from wfald.harness import build_dataset
+from wfald.model import partition_even
 from wfald.protocol import RunConfig, run
 from wfald.rng import run_streams
 
@@ -43,8 +46,10 @@ def test_replay_is_bitwise_deterministic(algorithm):
     (dict(p_c=0.5, p_b=0.5, tau_override=0.7), 0),
     (dict(p_c=0.5, p_b=0.5, n_samples=14), 0),
     (dict(p_c=0.5, p_b=0.5, replicates=3), 2),
+    # one group of 36,000 sample rows, past what 16-bit batch rows can index
+    (dict(p_c=0.5, p_b=0.5, n_samples=36_000, eta=1e-5, s_total=3, s_burn=1), 0),
 ], ids=["pc0.5-pb0.5", "pc1-pb0.5", "pc0.5-pb1", "pc1-pb1", "tau0.7", "unequal-shards",
-        "replicate2"])
+        "replicate2", "wide-sample-table"])
 def test_engine_matches_round_by_round_reference(settings, replicate):
     """The vectorized engine replays the one-device-at-a-time reference.
 
@@ -55,7 +60,7 @@ def test_engine_matches_round_by_round_reference(settings, replicate):
     arithmetic is reassociated (stacked einsum versus per-device matvec) so
     the match is to relative tolerance, not bitwise.
     """
-    cfg = small_config(s_total=8, s_burn=2, **settings)
+    cfg = small_config(**{"s_total": 8, "s_burn": 2, **settings})
     data = build_dataset(cfg)
     engine = run(cfg, data)
     flags, avg_traj, thetas, device_mean, v_theta, v_c = replay_fald(cfg, data, replicate)
@@ -223,6 +228,29 @@ def test_outputs_are_bitwise_invariant_under_block_and_window(monkeypatch, setti
     for arrays in others:
         for name, a, b in zip(fields, ref, arrays):
             assert np.array_equal(a, b, equal_nan=True), name
+
+
+def test_tape_window_stays_within_its_memory_budget():
+    """One window of one block at the reference problem (WFALD, 10 dB Rayleigh).
+
+    The batch rows are 16-bit, and the window holds no more than the
+    1,362,176 bytes that blocks of 16 replicates with 8-byte rows took.
+    """
+    start = time.perf_counter()
+    cfg = RunConfig(algorithm="WFALD", snr_db=10.0, gain_model="rayleigh")
+    data = build_dataset(cfg)
+    groups = protocol._build_groups(partition_even(data, cfg.k), cfg.k, cfg.p_b)
+    tape = protocol._Tape(cfg, cfg.channel(), groups, 0, protocol.REPLICATE_BLOCK,
+                          force_final=False)
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        window = tape.submit(helper, 0, protocol.TAPE_WINDOW).result()
+    arrays = []
+    for field in dataclasses.fields(window):
+        value = getattr(window, field.name)
+        arrays += value if isinstance(value, list) else [value]
+    assert [rows.dtype for rows in window.batch] == [np.int16]
+    assert sum(a.nbytes for a in arrays if isinstance(a, np.ndarray)) <= 1_362_176
+    assert time.perf_counter() - start < 1.0
 
 
 class _HelperFailure(Exception):
