@@ -25,7 +25,6 @@ import dataclasses
 import hashlib
 import io
 import json
-import math
 import os
 import typing
 from concurrent.futures import ProcessPoolExecutor
@@ -262,11 +261,12 @@ def bound_skip_reason(result: RunResult) -> str | None:
 def summarize_run(result: RunResult, posterior, test_inputs=None, test_targets=None):
     """Aggregate a run into a summary row and a per-iteration table.
 
-    Per-iteration rows are indexed by completed round s = 1..S: drift columns
-    describe the particle state entering round s, channel columns the round-s
-    transmission (nan when round s did not aggregate over the air), and
-    accuracy columns the state after round s.  The bound columns are nan
-    where ``bound_skip_reason`` gives a reason.
+    The table maps each name in ``ITERATION_COLUMNS`` to a length-S array
+    indexed by completed round s = 1..S: ``s`` is an int array, every other
+    column float64.  Drift columns describe the particle state entering
+    round s, channel columns the round-s transmission (nan when round s did
+    not aggregate over the air), and accuracy columns the state after round
+    s.  The bound columns are nan where ``bound_skip_reason`` gives a reason.
     """
     cfg = result.config
     R, S = cfg.replicates, cfg.s_total
@@ -332,19 +332,14 @@ def summarize_run(result: RunResult, posterior, test_inputs=None, test_targets=N
     # each round's mean over a contiguous row sums the replicates exactly as
     # a mean over one column of ``betas`` does; betas.mean(axis=0) does not
     beta_iter = np.ascontiguousarray(betas.T).mean(axis=1)
-    # map(float) rather than tolist(): S-long lists of every column would add
-    # to the table's peak memory
-    columns = zip(*(map(float, col) for col in (mse_run, w2_per_iter, bound_per_iter,
-                                                 vt_iter, vc_iter, vc_bound_iter,
-                                                 beta_iter, alpha_mean)))
-    table = [{"s": s, "mse": mse, "w2_sq": w2, "bound": bound, "v_theta": vt, "v_c": vc,
-              "v_theta_bound": vt_bound, "v_c_bound": vcb, "beta": beta, "alpha": alpha}
-             for s, (mse, w2, bound, vt, vc, vcb, beta, alpha) in enumerate(columns, 1)]
+    table = dict(zip(ITERATION_COLUMNS, (
+        np.arange(1, S + 1), mse_run, w2_per_iter, bound_per_iter, vt_iter, vc_iter,
+        np.full(S, vt_bound, dtype=float), vc_bound_iter, beta_iter, alpha_mean)))
     return summary, table
 
 
-def evaluate(config: RunConfig) -> tuple[RunResult, dict, list[dict]]:
-    """Run one configuration and summarize it: ``(result, summary, table)``.
+def evaluate(config: RunConfig) -> tuple[RunResult, dict, dict[str, np.ndarray]]:
+    """Run one configuration and summarize it: ``(result, summary, table)``, the table as columns.
 
     The one path from a config to its summaries, for ``wfald run`` and every
     sweep point.  The run's config records the coefficients its dataset was
@@ -362,17 +357,21 @@ def evaluate(config: RunConfig) -> tuple[RunResult, dict, list[dict]]:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, float):
-        return "nan" if math.isnan(value) else repr(float(value))
-    return str(value)
+    return repr(float(value)) if isinstance(value, float) else str(value)
 
 
-def write_csv(path: str, columns, rows):
+def write_csv(path: str, columns, table):
+    """Write ``table``, which maps each name in ``columns`` to a sequence, as CSV.
+
+    Floats are written with ``repr``, other cells with ``str``, 1,024 rows at a time.
+    """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(row[c]) for c in columns])
+        for start in range(0, len(table[columns[0]]), 1024):
+            chunk = [table[c][start:start + 1024] for c in columns]
+            cells = [map(_fmt, c.tolist() if isinstance(c, np.ndarray) else c) for c in chunk]
+            writer.writerows(zip(*cells))
 
 
 def sweep_points(spec: SweepSpec) -> list[tuple]:
@@ -441,7 +440,8 @@ def run_sweep(spec: SweepSpec, output_dir: str, workers: int = 1) -> list[dict]:
         row["p_c"] = float("nan") if pc is None else pc
         row["snr_db"] = float("nan") if snr is None else snr
 
-    write_csv(os.path.join(output_dir, "results.csv"), RESULT_COLUMNS, rows)
+    write_csv(os.path.join(output_dir, "results.csv"), RESULT_COLUMNS,
+              {c: [row[c] for row in rows] for c in RESULT_COLUMNS})
     manifest = sweep_manifest(spec)
     with open(os.path.join(output_dir, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

@@ -122,8 +122,7 @@ def compute_summary(name: str) -> dict:
         "algorithm": np.array(summary["algorithm"]),
         "bound_note": np.array(bound_skip_reason(result) or ""),
         "summary": np.array([summary[c] for c in SUMMARY_NUMBERS], dtype=float),
-        "table": np.array([[row[c] for c in ITERATION_COLUMNS] for row in table],
-                          dtype=float),
+        "table": np.column_stack([table[c] for c in ITERATION_COLUMNS]).astype(float),
     }
 
 

@@ -1,8 +1,11 @@
 """Harness tests: config parsing, dataset builders, sweeps, CSV and plot data."""
 
+import csv
+import dataclasses
 import json
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ import pytest
 from wfald.harness import (
     _PARSERS,
     FIGURES,
+    ITERATION_COLUMNS,
     RESULT_COLUMNS,
     ConfigurationError,
     SweepSpec,
@@ -26,6 +30,7 @@ from wfald.harness import (
     summarize_run,
     sweep_manifest,
     sweep_points,
+    write_csv,
 )
 from wfald.analysis import empirical_gaussian, gaussian_w2_squared
 from wfald.cli import build_parser
@@ -193,7 +198,13 @@ class TestSummaries:
         u, v = build_test_set(result.config, star, per_device=20)
         summary, table = summarize_run(result, post, u, v)
         assert set(summary) == set(RESULT_COLUMNS)
-        assert len(table) == result.config.s_total
+        S = result.config.s_total
+        assert list(table) == list(ITERATION_COLUMNS)
+        assert np.array_equal(table["s"], np.arange(1, S + 1))
+        assert table["s"].dtype.kind == "i"
+        for name in ITERATION_COLUMNS[1:]:
+            assert table[name].shape == (S,) and table[name].dtype == np.float64, name
+        assert (table["v_theta_bound"] == summary["v_theta_bound"]).all()
         assert summary["mse_mean"] > 0
         assert np.isfinite(summary["bound_final_mean"])
         assert np.isfinite(summary["test_ens_mean"])
@@ -202,7 +213,8 @@ class TestSummaries:
         result, post = self.make_run(algorithm="WFedAvg")
         summary, table = summarize_run(result, post)
         assert np.isnan(summary["bound_final_mean"])
-        assert all(np.isnan(row["bound"]) for row in table)
+        assert table["bound"].shape == (result.config.s_total,)
+        assert np.isnan(table["bound"]).all()
         assert np.isnan(summary["test_ens_mean"])  # no test set supplied
 
     def test_mse_matches_direct_computation(self):
@@ -214,7 +226,7 @@ class TestSummaries:
         # every round's fit, one call per round
         w2 = [gaussian_w2_squared(empirical_gaussian(result.avg_traj[:, s, :]), post)
               for s in range(1, result.config.s_total + 1)]
-        assert [row["w2_sq"] for row in table] == pytest.approx(w2, rel=1e-12)
+        assert table["w2_sq"].tolist() == pytest.approx(w2, rel=1e-12)
         assert summary["w2_sq"] == pytest.approx(w2[-1], rel=1e-12)
 
 
@@ -315,3 +327,61 @@ def test_fmt_is_repr_stable():
     assert _fmt(0.30000000000000004) == "0.30000000000000004"
     assert _fmt("WFALD") == "WFALD"
     assert _fmt(3) == "3"
+
+
+def _rowwise_csv(path, columns, table):
+    """The column writer's byte reference: one ``csv.writer`` row per index."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        for i in range(len(table[columns[0]])):
+            writer.writerow([_fmt(table[c][i]) for c in columns])
+
+
+@pytest.mark.parametrize("n", [0, 1, 1024, 2500])
+def test_column_writer_matches_rowwise_reference(n, tmp_path):
+    floats = [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 0.1 + 0.2, 1e300, 3.0]
+    strings = ["WFALD", "a,b", 'say "hi"', "", "line\nbreak"]
+    table = {
+        "s": np.arange(1, n + 1),
+        "x": np.resize(np.array(floats), n),
+        "wide": np.resize(np.array([2**63 - 1, -2**63, 0], dtype=np.int64), n),
+        "big": [10**30 + i for i in range(n)],
+        "name": [strings[i % len(strings)] for i in range(n)],
+        # results rows mix Python and numpy scalars
+        "mixed": [(np.float64(0.1), 3, float("nan"), np.float64(-0.0))[i % 4] for i in range(n)],
+    }
+    columns = tuple(table)
+    write_csv(str(tmp_path / "cols.csv"), columns, table)
+    _rowwise_csv(str(tmp_path / "rows.csv"), columns, table)
+    got = (tmp_path / "cols.csv").read_bytes()
+    assert got == (tmp_path / "rows.csv").read_bytes()
+    assert got.count(b"\n") == n + 1 + n // len(strings)  # one row a line, plus the quoted breaks
+    if n >= len(floats):
+        cells = set(got.decode().replace("\n", ",").split(","))
+        assert {"nan", "inf", "-inf", "-0.0", "5e-324", "0.30000000000000004",
+                "9223372036854775807", "-9223372036854775808"} <= cells
+
+
+@pytest.fixture(scope="module")
+def long_chain():
+    """A 20,000-round, 1-replicate SGLD run with the reference problem's 30 test sets."""
+    cfg = build_run_config({"algorithm": "SGLD", "s_total": "20000", "s_burn": "1000",
+                            "n_samples": "120"})
+    data = build_dataset(cfg)
+    result = run(dataclasses.replace(cfg, theta_star=data.theta_star), data)
+    return (result, exact_posterior(data), *build_test_set(cfg, data.theta_star))
+
+
+def test_long_table_is_summarized_and_written_in_bounded_memory(long_chain, tmp_path):
+    tracemalloc.start()
+    try:
+        _, table = summarize_run(*long_chain)
+        write_csv(str(tmp_path / "iterations.csv"), ITERATION_COLUMNS, table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the ten columns hold 1.6 MB; a table of one dict per round peaks at 11.8 MB
+    assert peak < 4e6
+    written = np.loadtxt(tmp_path / "iterations.csv", delimiter=",", skiprows=1)
+    np.testing.assert_array_equal(written, np.column_stack(list(table.values())))
