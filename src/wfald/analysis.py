@@ -125,10 +125,14 @@ def running_mse(avg_traj: np.ndarray, s_burn: int, target: np.ndarray) -> np.nda
     traj = np.asarray(avg_traj)
     R, S1, d = traj.shape
     out = np.full(S1 - 1, np.nan)
-    csum = np.cumsum(traj[:, s_burn + 1:, :], axis=1)
+    # one (R, S - s_burn, d) array: the cumsum becomes the running estimate,
+    # then its squared error, in place
+    est = np.cumsum(traj[:, s_burn + 1:, :], axis=1)
     counts = np.arange(1, S1 - 1 - s_burn + 1)
-    est = csum / counts[None, :, None]
-    err = np.sum((est - target) ** 2, axis=2)
+    est /= counts[None, :, None]
+    est -= target
+    np.square(est, out=est)
+    err = np.sum(est, axis=2)
     out[s_burn:] = err.mean(axis=0)
     return out
 

@@ -34,25 +34,30 @@ it, so memory stays bounded by the block and the window, not by the run.
 The block is 32 so that a sweep point of 20 to 24 replicates runs as one
 block and pays each round's numpy calls once.  To keep that block's memory
 small, a window's mini-batch rows are stored in the narrowest signed integer
-type that indexes their sample table (16-bit at the reference problem), and
-the calling thread drops its references to a window before it waits for the
-next one.
+type that indexes their sample table (16-bit at the reference problem).
 
-Threads.  :func:`run` owns one helper thread for its duration and joins it
-before it returns or raises.  The calling thread derives each block's
-streams in one :func:`wfald.rng.run_streams` call, which hashes every
-stream's Philox key in a few vectorized steps before it builds the
-generators; it also draws the flags and the fading gains and runs the
-recurrence.  The helper draws a window's batch keys and their
-``argpartition``, the Langevin noise and the receiver noise, and marks its
-near-zero gains.  It draws one window ahead, the next block's first after a
-block's last, so its numpy calls, which release the interpreter lock,
-overlap the recurrence.  Each stream is read by one thread only and windows
-are consumed in round order, so the draws are those of a serial run.
-Public functions (the ones a profiler wraps) and arithmetic that can
-overflow stay on the calling thread, whose ``np.errstate`` governs them; the
-one exception is the residual noise power, whose overflow the engine
-reports as a failure naming the channel gain.
+Processes.  :func:`run` forks one helper process (``os.fork``, so POSIX
+only) and kills and reaps it before it returns or raises, so no child
+outlives a run.  Each process derives every block's streams with
+:func:`wfald.rng.run_streams`, builds only the generators it reads, and
+draws the block's flags.  The helper reads the batch keys (and takes their
+``argpartition``), the Langevin noise, the receiver noise and the restore
+block; the parent reads the fading gains, marks the near-zero ones and runs
+the recurrence.  The helper draws one window ahead, the next block's first
+after a block's last, into one of two slots of an anonymous shared mapping
+made before the fork, so its draws overlap the recurrence without sharing an
+interpreter lock with it.  Two pipes hand the slots over: the helper names
+each slot it has filled, and the parent hands a slot back, with the current
+failure round, once it is done with that window's drift statistics, so no
+view of a slot outlives its window.  Apart from the flags, which both draw
+whole, each stream is read by one process only, and windows are consumed in
+round order, so the draws are those of a serial run.  Public functions stay
+in the parent, because a profiler or a test that wraps or patches one
+(``draw_gains``, say) sees only the parent's calls.  So does arithmetic that
+can overflow, which the parent's ``np.errstate`` governs; the one exception
+is the residual noise power, whose overflow the engine reports as a failure
+naming the channel gain.  An exception in the helper reaches the caller
+with its type and message; a helper that dies is a :class:`ProtocolError`.
 
 Invariance.  Philox streams are counter based, so a stream drawn in blocks of
 any size yields exactly the values per-round draws yield (pinned by
@@ -72,10 +77,16 @@ sequences and identical mini-batch index sequences.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import functools
 import itertools
+import mmap
 import operator
-from concurrent.futures import Future, ThreadPoolExecutor
+import os
+import pickle
+import signal
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,13 +104,13 @@ ALGORITHMS = ("WFALD", "FALD", "SGLD", "WFedAvg")
 BENCHMARK_THETA_STAR = np.array([-0.0615, -1.6057, 1.7629, 1.0240, -1.5902])
 
 #: replicates advanced together: 32 runs a 20- to 24-replicate sweep point as
-#: one block, and a window of 32 holds 1.25 MB at the reference problem
+#: one block, and a window slot of 32 holds 1.1 MB at the reference problem
 #: (K=30, n=1200; pinned by tests/test_protocol.py)
 REPLICATE_BLOCK = 32
 
-#: rounds of every random stream drawn at once; two windows are in memory
-#: while one is drawn ahead, and 32 rounds put a sweep's peak RSS up 6 %
-#: (measured at 16 replicates per block)
+#: rounds of every random stream drawn at once; the helper has two window
+#: slots, and 32 rounds put a sweep's peak RSS up 6 % (measured at 16
+#: replicates per block)
 TAPE_WINDOW = 16
 
 
@@ -278,6 +289,9 @@ def _build_groups(shards, k_total: int, p_b: float) -> list[_DeviceGroup]:
 class _Window:
     """Rounds [s0, s1) of a tape's streams, laid out round-major.
 
+    ``gains`` and ``tiny`` are the parent's; the other arrays are views of a
+    window slot the helper filled, valid until the slot goes back to it.
+
     * ``batch[g]``  (w, B, g, m) rows of group g's sample table picked by the
       mini-batches (None at full batch);
     * ``step_noise`` (w, B, K, d) Langevin increments sqrt(2 eta) xi_k, zero
@@ -303,11 +317,13 @@ class _Tape:
     """Every random draw of one block of replicates, a window of rounds at a time.
 
     The constructor derives each replicate's streams and draws its round
-    flags for the whole run.  ``submit(helper, s0, s1)`` draws the fading
-    gains of rounds [s0, s1) on the calling thread and hands them to ``fill``
-    on the helper thread, which draws the other streams' rounds [s0, s1) into
-    a :class:`_Window`.  Windows are submitted in round order and every
-    stream is read by one thread only, so the draws are those of a
+    flags for the whole run; the parent and the helper each build their own
+    tape of a block.  In the helper, ``fill(s0, s1, drawn)`` draws rounds
+    [s0, s1) of every stream but the flags and the gains into the arrays of
+    a window slot.  In the parent, ``receive(s0, s1, drawn)`` draws the same
+    rounds' fading gains and wraps them with the slot's arrays in a
+    :class:`_Window`.  Windows are drawn and received in round order and
+    every stream is read by one process only, so the draws are those of a
     round-by-round run.
     """
 
@@ -321,37 +337,33 @@ class _Tape:
                                for st in self.streams])
         if force_final:
             self.flags[:, -1] = True
-        self.wireless = config.algorithm in ("WFALD", "WFedAvg")
-        self.langevin = config.algorithm in ("WFALD", "FALD", "SGLD")
-        self.restoring = config.algorithm == "WFALD" and chan.noise_level == 0.0
+        self.wireless, self.langevin, self.restoring = _draws(config, chan)
 
-    def submit(self, helper: ThreadPoolExecutor, s0: int, s1: int) -> Future:
-        gains = None
+    def receive(self, s0: int, s1: int, drawn) -> _Window:
+        batch, step_noise, noise, restore = drawn
+        gains = tiny = None
         if self.wireless:
-            # a public function, so on the calling thread (see "Threads" above)
+            # a public function, so in the parent (see "Processes" above)
             gains = np.ones((s1 - s0, len(self.streams), self.config.k))
             for b, st in enumerate(self.streams):
                 rounds = np.flatnonzero(self.flags[b, s0:s1])
                 if rounds.size:
                     gains[rounds, b] = self.chan.draw_gains((rounds.size, self.config.k),
                                                             st.gains)
-        return helper.submit(self.fill, s0, s1, gains)
+            tiny = gains.min(axis=2) < 1e-6 * np.median(gains, axis=2)
+        return _Window(s0, s1, batch, step_noise, gains, tiny, noise, restore)
 
-    def fill(self, s0: int, s1: int, gains: np.ndarray | None) -> _Window:
+    def fill(self, s0: int, s1: int, drawn) -> None:
         cfg = self.config
         K, d, w, B = cfg.k, cfg.dim, s1 - s0, len(self.streams)
+        batch, step_noise, noise, restore = drawn
         agg = self.flags[:, s0:s1]
         over_air = agg if self.wireless else np.zeros_like(agg)
 
-        batch = []
-        for g in self.groups:
-            if g.samples is None:
-                batch.append(None)
+        for g, rows in zip(self.groups, batch):
+            if rows is None:
                 continue
             size = g.devices.stop - g.devices.start
-            # the narrowest signed type that holds every row of the table; a
-            # row that overflowed it would wrap negative, which take() accepts
-            rows = np.empty((w, B, size, g.m), dtype=np.min_scalar_type(-len(g.samples)))
             keys = np.empty((size, w, g.n))
             first_row = (np.arange(size) * g.n)[:, None]
             for b, st in enumerate(self.streams):
@@ -359,9 +371,7 @@ class _Tape:
                     st.batch[k].random(out=keys[j])
                 chosen = np.argpartition(keys, g.m, axis=2)[:, :, :g.m]
                 np.add(chosen.transpose(1, 0, 2), first_row, out=rows[:, b])
-            batch.append(rows)
 
-        step_noise = None
         if self.langevin:
             if cfg.tau_override is not None:
                 tau = np.full(agg.shape, cfg.tau_override)
@@ -369,7 +379,8 @@ class _Tape:
                 tau = agg.astype(float)
             private = ~over_air & (tau < 1.0)
             shared = ~over_air & (tau > 0.0)
-            xi = np.zeros((w, B, K, d))
+            xi = step_noise
+            xi.fill(0.0)
             common = np.zeros((w, B, d))
             for b, st in enumerate(self.streams):
                 rounds = np.flatnonzero(private[b])
@@ -384,13 +395,11 @@ class _Tape:
             xi *= np.sqrt(1.0 - tau).T[:, :, None, None]
             xi += (np.sqrt(tau / K).T[:, :, None] * common)[:, :, None, :]
             xi *= np.sqrt(2.0 * cfg.eta)
-            step_noise = xi
 
-        tiny = noise = restore = None
         if self.wireless:
-            tiny = gains.min(axis=2) < 1e-6 * np.median(gains, axis=2)
-            noise = np.zeros((w, B, d))
-            restore = np.zeros((w, B, d)) if self.restoring else None
+            noise.fill(0.0)
+            if self.restoring:
+                restore.fill(0.0)
             blocks = 2 if self.restoring else 1
             for b, st in enumerate(self.streams):
                 rounds = np.flatnonzero(over_air[b])
@@ -399,37 +408,185 @@ class _Tape:
                     noise[rounds, b] = draws[:, 0]
                     if self.restoring:
                         restore[rounds, b] = draws[:, 1]
-        return _Window(s0, s1, batch, step_noise, gains, tiny, noise, restore)
 
 
-def _windows(helper: ThreadPoolExecutor, tapes, stop):
-    """Yield (tape, window) over each tape's rounds [0, stop()), drawing one window ahead.
+def _draws(config: RunConfig, chan: ChannelConfig):
+    """(wireless, langevin, restoring): which streams past the flags a tape reads."""
+    return (config.algorithm in ("WFALD", "WFedAvg"),
+            config.algorithm in ("WFALD", "FALD", "SGLD"),
+            config.algorithm == "WFALD" and chan.noise_level == 0.0)
 
-    While the caller consumes a window, the helper draws the next one, which
-    is the next tape's first after a tape's last.  A failure found in a
-    window lowers ``stop()``; a window already drawn from rounds past it is
-    dropped, and one that only reaches past it is cut by the caller.
+
+class _Slots:
+    """Two window slots in one anonymous shared mapping, made before the fork.
+
+    A slot holds the arrays the helper draws for a window of up to
+    ``TAPE_WINDOW`` rounds of the largest block: each group's batch rows
+    (None at full batch), the Langevin increments, the receiver noise and
+    the restore block (each None where the tape draws none).
+    ``views(slot, w, B)`` lays the arrays of a window of w rounds and B
+    replicates over the start of their regions, C-contiguous, as
+    :class:`_Window` describes them.
     """
-    def submitted():
-        for tape in tapes:
-            s0 = 0
-            while s0 < stop():
-                s1 = min(stop(), s0 + TAPE_WINDOW)
-                yield tape, tape.submit(helper, s0, s1)
-                s0 = s1
 
-    queue = submitted()
-    pending = next(queue, None)
-    while pending is not None:
-        ahead = next(queue, None)  # submit the next window before waiting on this one
-        # no name here keeps a window once the caller is done with it, so it
-        # is freed before the next wait
-        (tape, future), pending = pending, ahead
-        window = future.result()
-        del future
-        if window.s0 < stop():
-            yield tape, window
-        del window
+    def __init__(self, config: RunConfig, chan: ChannelConfig, groups, replicates: int):
+        K, d = config.k, config.dim
+        wireless, langevin, restoring = _draws(config, chan)
+        # the narrowest signed type that holds every row of a table; a row
+        # that overflowed it would wrap negative, which take() accepts
+        shapes = [None if g.samples is None else
+                  ((g.devices.stop - g.devices.start, g.m), np.min_scalar_type(-len(g.samples)))
+                  for g in groups]
+        f8 = np.dtype(np.float64)
+        shapes += [((K, d), f8) if langevin else None,
+                   ((d,), f8) if wireless else None,
+                   ((d,), f8) if restoring else None]
+        rounds = min(TAPE_WINDOW, config.s_total)
+        self.shapes, self.offsets, size = shapes, [], 0
+        for shape in shapes:
+            self.offsets.append(size)
+            if shape is not None:
+                size += -(-rounds * replicates * np.prod(shape[0]) * shape[1].itemsize // 64) * 64
+        self.size = int(size)
+        self.buffer = mmap.mmap(-1, 2 * self.size)
+
+    def views(self, slot: int, w: int, B: int):
+        arrays = [None if shape is None else
+                  np.ndarray((w, B, *shape[0]), shape[1], self.buffer, slot * self.size + offset)
+                  for shape, offset in zip(self.shapes, self.offsets)]
+        *batch, step_noise, noise, restore = arrays
+        return batch, step_noise, noise, restore
+
+
+#: helper to parent: a filled slot (or _END, or _ERROR and then a pickled
+#: exception up to EOF), its block and its rounds [s0, s1)
+_READY = struct.Struct("<4i")
+#: parent to helper: a slot handed back, and the round the run now stops at
+_FREE = struct.Struct("<2i")
+_END, _ERROR = -1, -2
+
+
+def _write(fd: int, data: bytes) -> None:
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+class _Helper:
+    """The helper process that draws a run's tape, seen from the parent.
+
+    A context manager: on exit the parent closes its pipe ends, then kills
+    and reaps the helper, whatever state it is in.
+    """
+
+    def __init__(self, config: RunConfig, chan: ChannelConfig, groups, edges, force_final: bool):
+        self.new_tape = functools.partial(_Tape, config, chan, groups, force_final=force_final)
+        self.edges = edges
+        self.slots = _Slots(config, chan, groups, max(np.diff(edges)))
+        ready_r, ready_w = os.pipe()
+        free_r, free_w = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            for fd in (ready_r, ready_w, free_r, free_w):
+                os.close(fd)
+            raise
+        if self.pid == 0:
+            status = 1
+            try:
+                os.close(ready_r)
+                os.close(free_w)
+                self._draw(config.s_total, ready_w, os.fdopen(free_r, "rb"))
+                status = 0
+            except BaseException as exc:  # noqa: BLE001  (handed to the parent)
+                # one that does not pickle leaves the parent a helper that died
+                with contextlib.suppress(BaseException):
+                    _write(ready_w, _READY.pack(_ERROR, 0, 0, 0) + pickle.dumps(exc))
+            finally:
+                # a forked child never returns into its parent's stack
+                os._exit(status)
+        os.close(ready_w)
+        os.close(free_r)
+        self.ready, self.free = os.fdopen(ready_r, "rb"), free_w
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.ready.close()
+        os.close(self.free)
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+
+    def _draw(self, stop: int, ready: int, free) -> None:
+        """The helper's loop: fill each block's windows into idle slots, in round order.
+
+        It learns the parent's failure round only when it waits for a slot,
+        so it may draw windows past it, which the parent drops.  A parent
+        that has died closes the pipes: the helper reads EOF or gets EPIPE.
+        """
+        idle = [1, 0]
+        for j, (first, end) in enumerate(zip(self.edges[:-1], self.edges[1:])):
+            tape, s0 = None, 0
+            while True:
+                if not idle:
+                    message = free.read(_FREE.size)
+                    if len(message) < _FREE.size:
+                        return
+                    slot, stop = _FREE.unpack(message)
+                    idle.append(slot)
+                if s0 >= stop:
+                    break
+                tape = tape or self.new_tape(first, end - first)
+                s1 = min(stop, s0 + TAPE_WINDOW)
+                slot = idle.pop()
+                tape.fill(s0, s1, self.slots.views(slot, s1 - s0, end - first))
+                _write(ready, _READY.pack(slot, j, s0, s1))
+                s0 = s1
+        _write(ready, _READY.pack(_END, 0, 0, 0))
+
+    def windows(self, stop):
+        """Yield (tape, window) over each block's rounds [0, stop()), in round order.
+
+        A failure found in a window lowers ``stop()``; a window the helper
+        drew from rounds past it is dropped, and one that only reaches past
+        it is cut by the caller.  A window's slot goes back to the helper
+        when the caller asks for the next window, that is, once it is done
+        with this one.
+        """
+        tape = None
+        while True:
+            header = self.ready.read(_READY.size)
+            if len(header) < _READY.size:
+                self._lost()
+            slot, j, s0, s1 = _READY.unpack(header)
+            if slot == _END:
+                return
+            if slot == _ERROR:
+                try:
+                    exc = pickle.loads(self.ready.read())
+                except Exception:  # noqa: BLE001  (cut short by the helper's death)
+                    self._lost()
+                raise exc
+            if s0 < stop():
+                first = self.edges[j]
+                if tape is None or tape.replicates.start != first:
+                    tape = self.new_tape(first, self.edges[j + 1] - first)
+                yield tape, tape.receive(s0, s1, self.slots.views(slot, s1 - s0,
+                                                                  len(tape.replicates)))
+            # a helper that has died is found at the next read
+            with contextlib.suppress(BrokenPipeError):
+                _write(self.free, _FREE.pack(slot, stop()))
+
+    def _lost(self):
+        os.kill(self.pid, signal.SIGKILL)
+        _, status = os.waitpid(self.pid, 0)
+        pid, self.pid = self.pid, None
+        code = os.waitstatus_to_exitcode(status)
+        how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+        raise ProtocolError(f"the tape helper process {pid} ended before the tape was "
+                            f"drawn ({how})")
 
 
 def _over_the_air(config: RunConfig, chan: ChannelConfig, win: _Window, i: int, s: int,
@@ -586,7 +743,7 @@ def _advance(config: RunConfig, chan: ChannelConfig, groups, A_global, b_global,
         diff = ((np.einsum("de,bwe->bwd", A_global, avg_traj[:, s0:s1]) - b_global)
                 - np.stack(grad_sums, axis=1))
         v_c[:, s0:s1] = np.einsum("bwd,bwd->bw", diff, diff)
-        # free this window before the next one is waited for
+        # drop this window before its slot goes back to the helper
         del win, states, grad_sums, kept, dev, diff
 
     out.flags[rows] = tape.flags
@@ -651,11 +808,8 @@ def run(config: RunConfig, data: Dataset) -> RunResult:
     n_blocks = -(-R // REPLICATE_BLOCK)
     edges = [R * j // n_blocks for j in range(n_blocks + 1)]
     failure, stop = None, S
-    # built lazily on this thread; the condition reads the current stop
-    tapes = (_Tape(config, chan, groups, first, end - first, force_final)
-             for first, end in zip(edges[:-1], edges[1:]) if stop > 0)
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        windows = _windows(helper, tapes, lambda: stop)
+    with _Helper(config, chan, groups, edges, force_final) as helper:
+        windows = helper.windows(lambda: stop)
         for tape, block in itertools.groupby(windows, key=operator.itemgetter(0)):
             # map, unlike a generator expression, keeps no window while it waits
             found = _advance(config, chan, groups, A_global, b_global, tape,

@@ -44,7 +44,7 @@ without AVX2).  That order sets the rounding of the mini-batch gradient sum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -79,7 +79,6 @@ def test_data_generator(master_seed: int) -> np.random.Generator:
     return generator(seed_sequence(master_seed, NS_TEST))
 
 
-@dataclass
 class RunStreams:
     """The full set of streams one replicate consumes.
 
@@ -87,15 +86,37 @@ class RunStreams:
     shared Bernoulli aggregation schedule, ``common`` the shared Langevin
     noise of noiseless aggregation rounds, ``channel`` the receiver noise of
     wireless rounds, ``gains`` the fading draws (untouched for constant
-    gains).
+    gains).  Each generator is built from its Philox key when it is first
+    read, so a process that reads only some of the streams builds only those.
     """
 
-    flags: np.random.Generator
-    common: np.random.Generator
-    channel: np.random.Generator
-    gains: np.random.Generator
-    batch: list
-    noise: list
+    def __init__(self, shared: np.ndarray, device: np.ndarray):
+        self._shared = shared  # (4, 2) keys of flags, common, channel, gains
+        self._device = device  # (K, 2, 2) keys of each device's batch, noise
+
+    @functools.cached_property
+    def flags(self) -> np.random.Generator:
+        return _generator(self._shared[0])
+
+    @functools.cached_property
+    def common(self) -> np.random.Generator:
+        return _generator(self._shared[1])
+
+    @functools.cached_property
+    def channel(self) -> np.random.Generator:
+        return _generator(self._shared[2])
+
+    @functools.cached_property
+    def gains(self) -> np.random.Generator:
+        return _generator(self._shared[3])
+
+    @functools.cached_property
+    def batch(self) -> list:
+        return [_generator(key) for key in self._device[:, 0]]
+
+    @functools.cached_property
+    def noise(self) -> list:
+        return [_generator(key) for key in self._device[:, 1]]
 
 
 class _PhiloxKey(ISeedSequence):
@@ -205,7 +226,4 @@ def run_streams(master_seed: int, replicates: range, k_devices: int,
     pool, h = _absorb(pool, h, np.array([4], dtype=np.uint32))
     pool, h = _absorb(pool[:, None], h, np.arange(k_devices, dtype=np.uint32))  # (B, K, 4)
     device = _philox_keys(_absorb(pool[:, :, None], h, np.arange(2, dtype=np.uint32))[0])
-    return [RunStreams(*(_generator(key) for key in shared[b]),
-                       batch=[_generator(key) for key in device[b, :, 0]],
-                       noise=[_generator(key) for key in device[b, :, 1]])
-            for b in range(len(replicates))]
+    return [RunStreams(shared[b], device[b]) for b in range(len(replicates))]

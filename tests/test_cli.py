@@ -6,6 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
+import wfald.protocol as protocol
+from test_protocol import kill_helper_at
 from wfald.cli import build_parser, main
 
 SMALL_ARGS = ["--set", "k=3", "--set", "dim=2", "--set", "n_samples=12",
@@ -155,6 +157,17 @@ def test_tiny_constant_gain_is_reported_as_the_gain(tmp_path, capsys):
     assert code == 2
     assert err.startswith("protocol failure: ") and err.count("\n") == 1
     assert "smallest channel gain |h_k| is 1.000e-300" in err
+
+
+def test_killed_tape_helper_is_a_one_line_protocol_failure(tmp_path, capsys, monkeypatch):
+    """The helper process that draws the tape is killed while the parent holds the second window."""
+    monkeypatch.setattr(protocol, "TAPE_WINDOW", 2)
+    kill_helper_at(monkeypatch, 2)
+    code = main(["run", *SMALL_ARGS, "--output", str(tmp_path / "x")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("protocol failure: the tape helper process ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_sweep_then_plotdata(tmp_path, capsys):

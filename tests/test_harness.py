@@ -381,7 +381,8 @@ def test_long_table_is_summarized_and_written_in_bounded_memory(long_chain, tmp_
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the ten columns hold 1.6 MB; a table of one dict per round peaks at 11.8 MB
-    assert peak < 4e6
+    # the ten columns hold 1.6 MB and the peak is 2.39 MB; a table of one dict
+    # per round peaks at 11.8 MB, and running_mse's three temporaries at 3.07 MB
+    assert peak < 2.6e6
     written = np.loadtxt(tmp_path / "iterations.csv", delimiter=",", skiprows=1)
     np.testing.assert_array_equal(written, np.column_stack(list(table.values())))

@@ -2,9 +2,9 @@
 
 import collections
 import dataclasses
-import threading
+import os
+import signal
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -93,21 +93,22 @@ def test_sgld_step_size_is_matched_to_the_round_clock():
 def test_algorithms_share_schedule_and_batches(monkeypatch):
     """Same seed means same flags and the oracle's mini-batches in every algorithm.
 
-    A spy on ``_Tape.fill`` reads each window's batch rows back as shard
-    indices: device j of group g owns rows j * g.n to (j + 1) * g.n - 1.
+    A spy on ``_Tape.receive``, where the parent takes each window from the
+    helper process, reads the window's batch rows back as shard indices:
+    device j of group g owns rows j * g.n to (j + 1) * g.n - 1.
     """
-    fill = protocol._Tape.fill
+    receive = protocol._Tape.receive
     seen = collections.defaultdict(list)
 
-    def spy(tape, s0, s1, gains):
-        window = fill(tape, s0, s1, gains)
+    def spy(tape, s0, s1, drawn):
+        window = receive(tape, s0, s1, drawn)
         for g, rows in zip(tape.groups, window.batch):
             for b, r in enumerate(tape.replicates):
                 for j, k in enumerate(range(g.devices.start, g.devices.stop)):
                     seen[r, k].append(rows[:, b, j] - j * g.n)
         return window
 
-    monkeypatch.setattr(protocol._Tape, "fill", spy)
+    monkeypatch.setattr(protocol._Tape, "receive", spy)
     kw = dict(force_final_agg=False, replicates=2)
     cfg_w = small_config(algorithm="WFALD", snr_db=5.0, gain_model="rayleigh", **kw)
     data = build_dataset(cfg_w)
@@ -231,66 +232,116 @@ def test_outputs_are_bitwise_invariant_under_block_and_window(monkeypatch, setti
 
 
 def test_tape_window_stays_within_its_memory_budget():
-    """One window of one block at the reference problem (WFALD, 10 dB Rayleigh).
+    """One window slot of one block at the reference problem (WFALD, 10 dB Rayleigh).
 
-    The batch rows are 16-bit, and the window holds no more than the
-    1,362,176 bytes that blocks of 16 replicates with 8-byte rows took.
+    The batch rows are 16-bit, and the slot holds no more than the 1,362,176
+    bytes that a window of blocks of 16 replicates with 8-byte rows took.
     """
     start = time.perf_counter()
     cfg = RunConfig(algorithm="WFALD", snr_db=10.0, gain_model="rayleigh")
     data = build_dataset(cfg)
+    chan = cfg.channel()
     groups = protocol._build_groups(partition_even(data, cfg.k), cfg.k, cfg.p_b)
-    tape = protocol._Tape(cfg, cfg.channel(), groups, 0, protocol.REPLICATE_BLOCK,
-                          force_final=False)
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        window = tape.submit(helper, 0, protocol.TAPE_WINDOW).result()
-    arrays = []
-    for field in dataclasses.fields(window):
-        value = getattr(window, field.name)
-        arrays += value if isinstance(value, list) else [value]
-    assert [rows.dtype for rows in window.batch] == [np.int16]
-    assert sum(a.nbytes for a in arrays if isinstance(a, np.ndarray)) <= 1_362_176
+    slots = protocol._Slots(cfg, chan, groups, protocol.REPLICATE_BLOCK)
+    tape = protocol._Tape(cfg, chan, groups, 0, protocol.REPLICATE_BLOCK, force_final=False)
+    batch, *arrays = drawn = slots.views(1, protocol.TAPE_WINDOW, protocol.REPLICATE_BLOCK)
+    tape.fill(0, protocol.TAPE_WINDOW, drawn)
+    assert [rows.dtype for rows in batch] == [np.int16]
+    assert sum(a.nbytes for a in [*batch, *arrays] if a is not None) <= slots.size
+    assert slots.size <= 1_362_176
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("settings", [dict(algorithm="WFALD", snr_db=None),
+                                      dict(algorithm="FALD", tau_override=0.5)])
+def test_run_result_shares_no_memory_with_the_window_slots(monkeypatch, settings):
+    buffers = []
+
+    class RecordedSlots(protocol._Slots):
+        def __init__(self, *args):
+            super().__init__(*args)
+            buffers.append(np.frombuffer(self.buffer, dtype=np.uint8))
+
+    monkeypatch.setattr(protocol, "_Slots", RecordedSlots)
+    monkeypatch.setattr(protocol, "TAPE_WINDOW", 5)
+    cfg = small_config(**settings, replicates=3)
+    res = run(cfg, build_dataset(cfg))
+    [buffer] = buffers
+    arrays = {f.name: getattr(res, f.name) for f in dataclasses.fields(res)}
+    arrays = {name: a for name, a in arrays.items() if isinstance(a, np.ndarray)}
+    assert len(arrays) == 9
+    for name, array in arrays.items():
+        assert not np.shares_memory(array, buffer), name
 
 
 class _HelperFailure(Exception):
     pass
 
 
-@pytest.mark.parametrize("outcome", ["ok", "protocol_error", "helper_failure"])
-def test_no_thread_outlives_run(monkeypatch, outcome):
-    """The tape's helper thread is joined before ``run`` returns or raises.
+def kill_helper_at(monkeypatch, round_):
+    """Make the parent SIGKILL the helper process when it receives the window at ``round_``."""
+    fork, receive = os.fork, protocol._Tape.receive
+    children = []
 
-    A helper failure (here in the third window) reaches the caller as the
-    very exception the helper raised.
+    def recorded_fork():
+        pid = fork()
+        if pid:
+            children.append(pid)
+        return pid
+
+    def killing_receive(tape, s0, s1, drawn):
+        if s0 == round_:
+            os.kill(children[-1], signal.SIGKILL)
+        return receive(tape, s0, s1, drawn)
+
+    monkeypatch.setattr(os, "fork", recorded_fork)
+    monkeypatch.setattr(protocol._Tape, "receive", killing_receive)
+
+
+@pytest.mark.parametrize("outcome", ["ok", "protocol_error", "helper_failure", "helper_killed"])
+def test_no_child_outlives_run(monkeypatch, outcome):
+    """The tape's helper process is reaped before ``run`` returns or raises.
+
+    A helper failure (here in the third window) reaches the caller with the
+    type and message the helper raised.  A helper killed in the middle of a
+    run (here while the parent holds the third window) ends the run with a
+    one-line ProtocolError, not a hang.
     """
     cfg = small_config(algorithm="WFALD", p_c=1.0, gain_model="rayleigh", replicates=3)
     data = build_dataset(cfg)
     monkeypatch.setattr(protocol, "TAPE_WINDOW", 2)
-    error = _HelperFailure("tape window failed")
     if outcome == "protocol_error":
         monkeypatch.setattr(ChannelConfig, "draw_gains",
                             lambda self, size, rng: np.tile([1.0, 1e-12, 1.0], (size[0], 1)))
     elif outcome == "helper_failure":
         fill = protocol._Tape.fill
 
-        def failing_fill(self, s0, s1, gains):
+        def failing_fill(self, s0, s1, drawn):
             if s0 >= 4:
-                raise error
-            return fill(self, s0, s1, gains)
+                raise _HelperFailure("tape window failed")
+            return fill(self, s0, s1, drawn)
 
         monkeypatch.setattr(protocol._Tape, "fill", failing_fill)
-    before = threading.active_count()
+    elif outcome == "helper_killed":
+        kill_helper_at(monkeypatch, 4)
     if outcome == "ok":
         run(cfg, data)
     elif outcome == "protocol_error":
         with pytest.raises(ProtocolError, match="near-zero channel gain"):
             run(cfg, data)
-    else:
+    elif outcome == "helper_failure":
         with pytest.raises(_HelperFailure) as raised:
             run(cfg, data)
-        assert raised.value is error
-    assert threading.active_count() == before
+        assert type(raised.value) is _HelperFailure
+        assert str(raised.value) == "tape window failed"
+    else:
+        with pytest.raises(ProtocolError) as raised:
+            run(cfg, data)
+        assert "\n" not in str(raised.value)
+        assert str(raised.value).startswith("the tape helper process ")
+        assert str(raised.value).endswith(f"(killed by signal {int(signal.SIGKILL)})")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_divergence_raises_protocol_error():
