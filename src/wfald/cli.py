@@ -115,7 +115,9 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return _cmd_sweep(args)
         return _cmd_plotdata(args)
-    except (ConfigurationError, FileNotFoundError) as exc:
+    # a path missing or of the wrong kind, but not any OSError (a failed fork, say)
+    except (ConfigurationError, FileNotFoundError, FileExistsError, IsADirectoryError,
+            NotADirectoryError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
     except ProtocolError as exc:

@@ -481,13 +481,18 @@ FIGURES = ("pc_curve", "snr_curve", "baseline_compare")
 def _load_results(path: str) -> list[dict]:
     with open(path, "r", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
+        missing = [key for key in RESULT_COLUMNS if key not in (reader.fieldnames or ())]
+        if missing:
+            raise ConfigurationError(f"{path} has no {missing[0]!r} column")
         rows = []
         for rec in reader:
             row = dict(rec)
-            for key in RESULT_COLUMNS:
-                if key in ("algorithm",):
-                    continue
-                row[key] = float(rec[key]) if rec[key] != "" else float("nan")
+            for key in RESULT_COLUMNS[1:]:  # all but "algorithm" are numbers
+                try:
+                    row[key] = float(rec[key]) if rec[key] != "" else float("nan")
+                except (TypeError, ValueError):
+                    raise ConfigurationError(f"{path}, line {reader.line_num}: {key} is "
+                                             f"{rec[key]!r}, not a number") from None
             rows.append(row)
     return rows
 

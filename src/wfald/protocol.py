@@ -84,10 +84,9 @@ import itertools
 import mmap
 import operator
 import os
-import pickle
 import signal
-import struct
 from dataclasses import dataclass
+from multiprocessing.connection import Pipe
 
 import numpy as np
 
@@ -289,28 +288,16 @@ def _build_groups(shards, k_total: int, p_b: float) -> list[_DeviceGroup]:
 class _Window:
     """Rounds [s0, s1) of a tape's streams, laid out round-major.
 
-    ``gains`` and ``tiny`` are the parent's; the other arrays are views of a
-    window slot the helper filled, valid until the slot goes back to it.
-
-    * ``batch[g]``  (w, B, g, m) rows of group g's sample table picked by the
-      mini-batches (None at full batch);
-    * ``step_noise`` (w, B, K, d) Langevin increments sqrt(2 eta) xi_k, zero
-      where a round injects none (None for WFedAvg);
-    * ``gains`` (w, B, K), ``noise`` (w, B, d) and ``restore`` (w, B, d):
-      channel gains, the receiver's standard-normal block and, for noiseless
-      WFALD, the block that restores the Langevin noise, on wireless rounds;
-      ``tiny`` (w, B) marks the replicates whose round has a near-zero gain
-      (all None without a channel, ``restore`` also with channel noise).
+    ``drawn`` holds the arrays of :func:`_layout` in a slot the helper filled,
+    valid until the slot goes back to it.  The parent's ``gains`` (w, B, K) and
+    ``tiny`` (w, B), which marks near-zero gains, are None without a channel.
     """
 
     s0: int
     s1: int
-    batch: list
-    step_noise: np.ndarray | None
+    drawn: dict
     gains: np.ndarray | None
     tiny: np.ndarray | None
-    noise: np.ndarray | None
-    restore: np.ndarray | None
 
 
 class _Tape:
@@ -337,12 +324,10 @@ class _Tape:
                                for st in self.streams])
         if force_final:
             self.flags[:, -1] = True
-        self.wireless, self.langevin, self.restoring = _draws(config, chan)
 
-    def receive(self, s0: int, s1: int, drawn) -> _Window:
-        batch, step_noise, noise, restore = drawn
+    def receive(self, s0: int, s1: int, drawn: dict) -> _Window:
         gains = tiny = None
-        if self.wireless:
+        if "noise" in drawn:
             # a public function, so in the parent (see "Processes" above)
             gains = np.ones((s1 - s0, len(self.streams), self.config.k))
             for b, st in enumerate(self.streams):
@@ -351,35 +336,36 @@ class _Tape:
                     gains[rounds, b] = self.chan.draw_gains((rounds.size, self.config.k),
                                                             st.gains)
             tiny = gains.min(axis=2) < 1e-6 * np.median(gains, axis=2)
-        return _Window(s0, s1, batch, step_noise, gains, tiny, noise, restore)
+        return _Window(s0, s1, drawn, gains, tiny)
 
-    def fill(self, s0: int, s1: int, drawn) -> None:
+    def fill(self, s0: int, s1: int, drawn: dict) -> None:
         cfg = self.config
         K, d, w, B = cfg.k, cfg.dim, s1 - s0, len(self.streams)
-        batch, step_noise, noise, restore = drawn
+        noise, restore = drawn.get("noise"), drawn.get("restore")
         agg = self.flags[:, s0:s1]
-        over_air = agg if self.wireless else np.zeros_like(agg)
+        over_air = agg if noise is not None else np.zeros_like(agg)
 
-        for g, rows in zip(self.groups, batch):
+        for j, g in enumerate(self.groups):
+            rows = drawn.get(f"batch{j}")
             if rows is None:
                 continue
             size = g.devices.stop - g.devices.start
             keys = np.empty((size, w, g.n))
             first_row = (np.arange(size) * g.n)[:, None]
             for b, st in enumerate(self.streams):
-                for j, k in enumerate(range(g.devices.start, g.devices.stop)):
-                    st.batch[k].random(out=keys[j])
+                for i, k in enumerate(range(g.devices.start, g.devices.stop)):
+                    st.batch[k].random(out=keys[i])
                 chosen = np.argpartition(keys, g.m, axis=2)[:, :, :g.m]
                 np.add(chosen.transpose(1, 0, 2), first_row, out=rows[:, b])
 
-        if self.langevin:
+        xi = drawn.get("step_noise")
+        if xi is not None:
             if cfg.tau_override is not None:
                 tau = np.full(agg.shape, cfg.tau_override)
             else:
                 tau = agg.astype(float)
             private = ~over_air & (tau < 1.0)
             shared = ~over_air & (tau > 0.0)
-            xi = step_noise
             xi.fill(0.0)
             common = np.zeros((w, B, d))
             for b, st in enumerate(self.streams):
@@ -396,130 +382,123 @@ class _Tape:
             xi += (np.sqrt(tau / K).T[:, :, None] * common)[:, :, None, :]
             xi *= np.sqrt(2.0 * cfg.eta)
 
-        if self.wireless:
-            noise.fill(0.0)
-            if self.restoring:
-                restore.fill(0.0)
-            blocks = 2 if self.restoring else 1
+        if noise is not None:
+            blocks = 1 if restore is None else 2
             for b, st in enumerate(self.streams):
                 rounds = np.flatnonzero(over_air[b])
                 if rounds.size:
                     draws = st.channel.standard_normal((rounds.size, blocks, d))
                     noise[rounds, b] = draws[:, 0]
-                    if self.restoring:
+                    if restore is not None:
                         restore[rounds, b] = draws[:, 1]
 
 
-def _draws(config: RunConfig, chan: ChannelConfig):
-    """(wireless, langevin, restoring): which streams past the flags a tape reads."""
-    return (config.algorithm in ("WFALD", "WFedAvg"),
-            config.algorithm in ("WFALD", "FALD", "SGLD"),
-            config.algorithm == "WFALD" and chan.noise_level == 0.0)
+def _layout(config: RunConfig, chan: ChannelConfig, groups) -> dict:
+    """A window slot's arrays, in slot order: name -> (per-replicate shape, dtype).
+
+    A window of w rounds and B replicates holds each as a (w, B, *shape)
+    array; an array the algorithm does not draw is left out.
+
+    * ``batch<j>`` (g, m) rows of group j's sample table picked by the
+      mini-batches (left out at full batch);
+    * ``step_noise`` (K, d) Langevin increments sqrt(2 eta) xi_k, zero where
+      a round injects none (left out for WFedAvg);
+    * ``noise`` (d,) the receiver's standard-normal block on wireless rounds,
+      unset on others (left out without a channel);
+    * ``restore`` (d,) likewise, for noiseless WFALD, the block that restores
+      the Langevin noise.
+    """
+    layout = {}
+    for j, g in enumerate(groups):
+        if g.samples is not None:
+            # the narrowest signed type that holds every row of the table; a
+            # row that overflowed it would wrap negative, which take() accepts
+            layout[f"batch{j}"] = ((g.devices.stop - g.devices.start, g.m),
+                                   np.min_scalar_type(-len(g.samples)))
+    f8 = np.dtype(np.float64)
+    if config.algorithm != "WFedAvg":
+        layout["step_noise"] = ((config.k, config.dim), f8)
+    if config.algorithm in ("WFALD", "WFedAvg"):
+        layout["noise"] = ((config.dim,), f8)
+        if config.algorithm == "WFALD" and chan.noise_level == 0.0:
+            layout["restore"] = ((config.dim,), f8)
+    return layout
 
 
 class _Slots:
     """Two window slots in one anonymous shared mapping, made before the fork.
 
-    A slot holds the arrays the helper draws for a window of up to
-    ``TAPE_WINDOW`` rounds of the largest block: each group's batch rows
-    (None at full batch), the Langevin increments, the receiver noise and
-    the restore block (each None where the tape draws none).
-    ``views(slot, w, B)`` lays the arrays of a window of w rounds and B
-    replicates over the start of their regions, C-contiguous, as
-    :class:`_Window` describes them.
+    A slot holds the arrays of :func:`_layout` for a window of up to
+    ``TAPE_WINDOW`` rounds of the largest block.  ``views(slot, w, B)`` lays
+    the arrays of a window of w rounds and B replicates over the start of
+    their regions, C-contiguous, and returns them by name.
     """
 
     def __init__(self, config: RunConfig, chan: ChannelConfig, groups, replicates: int):
-        K, d = config.k, config.dim
-        wireless, langevin, restoring = _draws(config, chan)
-        # the narrowest signed type that holds every row of a table; a row
-        # that overflowed it would wrap negative, which take() accepts
-        shapes = [None if g.samples is None else
-                  ((g.devices.stop - g.devices.start, g.m), np.min_scalar_type(-len(g.samples)))
-                  for g in groups]
-        f8 = np.dtype(np.float64)
-        shapes += [((K, d), f8) if langevin else None,
-                   ((d,), f8) if wireless else None,
-                   ((d,), f8) if restoring else None]
+        self.layout = _layout(config, chan, groups)
         rounds = min(TAPE_WINDOW, config.s_total)
-        self.shapes, self.offsets, size = shapes, [], 0
-        for shape in shapes:
-            self.offsets.append(size)
-            if shape is not None:
-                size += -(-rounds * replicates * np.prod(shape[0]) * shape[1].itemsize // 64) * 64
+        self.offsets, size = {}, 0
+        for name, (shape, dtype) in self.layout.items():
+            self.offsets[name] = size
+            size += -(-rounds * replicates * np.prod(shape) * dtype.itemsize // 64) * 64
         self.size = int(size)
         self.buffer = mmap.mmap(-1, 2 * self.size)
 
-    def views(self, slot: int, w: int, B: int):
-        arrays = [None if shape is None else
-                  np.ndarray((w, B, *shape[0]), shape[1], self.buffer, slot * self.size + offset)
-                  for shape, offset in zip(self.shapes, self.offsets)]
-        *batch, step_noise, noise, restore = arrays
-        return batch, step_noise, noise, restore
-
-
-#: helper to parent: a filled slot (or _END, or _ERROR and then a pickled
-#: exception up to EOF), its block and its rounds [s0, s1)
-_READY = struct.Struct("<4i")
-#: parent to helper: a slot handed back, and the round the run now stops at
-_FREE = struct.Struct("<2i")
-_END, _ERROR = -1, -2
-
-
-def _write(fd: int, data: bytes) -> None:
-    view = memoryview(data)
-    while view:
-        view = view[os.write(fd, view):]
+    def views(self, slot: int, w: int, B: int) -> dict:
+        return {name: np.ndarray((w, B, *shape), dtype, self.buffer,
+                                 slot * self.size + self.offsets[name])
+                for name, (shape, dtype) in self.layout.items()}
 
 
 class _Helper:
     """The helper process that draws a run's tape, seen from the parent.
 
-    A context manager: on exit the parent closes its pipe ends, then kills
-    and reaps the helper, whatever state it is in.
+    The helper sends (slot, block, s0, s1) per filled window, then None, or
+    the exception it raised; the parent sends back (slot, stop).  A context
+    manager: on exit the parent closes its pipe ends, then kills and reaps
+    the helper, whatever state it is in.
     """
 
     def __init__(self, config: RunConfig, chan: ChannelConfig, groups, edges, force_final: bool):
         self.new_tape = functools.partial(_Tape, config, chan, groups, force_final=force_final)
         self.edges = edges
         self.slots = _Slots(config, chan, groups, max(np.diff(edges)))
-        ready_r, ready_w = os.pipe()
-        free_r, free_w = os.pipe()
+        self.ready, ready = Pipe(duplex=False)
+        free, self.free = Pipe(duplex=False)
         try:
             self.pid = os.fork()
         except OSError:
-            for fd in (ready_r, ready_w, free_r, free_w):
-                os.close(fd)
+            for conn in (self.ready, ready, free, self.free):
+                conn.close()
             raise
         if self.pid == 0:
             status = 1
             try:
-                os.close(ready_r)
-                os.close(free_w)
-                self._draw(config.s_total, ready_w, os.fdopen(free_r, "rb"))
+                self.ready.close()
+                self.free.close()
+                self._draw(config.s_total, ready, free)
                 status = 0
             except BaseException as exc:  # noqa: BLE001  (handed to the parent)
                 # one that does not pickle leaves the parent a helper that died
                 with contextlib.suppress(BaseException):
-                    _write(ready_w, _READY.pack(_ERROR, 0, 0, 0) + pickle.dumps(exc))
+                    ready.send(exc)
             finally:
                 # a forked child never returns into its parent's stack
                 os._exit(status)
-        os.close(ready_w)
-        os.close(free_r)
-        self.ready, self.free = os.fdopen(ready_r, "rb"), free_w
+        ready.close()
+        free.close()
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc_info):
         self.ready.close()
-        os.close(self.free)
+        self.free.close()
         if self.pid is not None:
             os.kill(self.pid, signal.SIGKILL)
             os.waitpid(self.pid, 0)
 
-    def _draw(self, stop: int, ready: int, free) -> None:
+    def _draw(self, stop: int, ready, free) -> None:
         """The helper's loop: fill each block's windows into idle slots, in round order.
 
         It learns the parent's failure round only when it waits for a slot,
@@ -531,10 +510,7 @@ class _Helper:
             tape, s0 = None, 0
             while True:
                 if not idle:
-                    message = free.read(_FREE.size)
-                    if len(message) < _FREE.size:
-                        return
-                    slot, stop = _FREE.unpack(message)
+                    slot, stop = free.recv()
                     idle.append(slot)
                 if s0 >= stop:
                     break
@@ -542,9 +518,9 @@ class _Helper:
                 s1 = min(stop, s0 + TAPE_WINDOW)
                 slot = idle.pop()
                 tape.fill(s0, s1, self.slots.views(slot, s1 - s0, end - first))
-                _write(ready, _READY.pack(slot, j, s0, s1))
+                ready.send((slot, j, s0, s1))
                 s0 = s1
-        _write(ready, _READY.pack(_END, 0, 0, 0))
+        ready.send(None)
 
     def windows(self, stop):
         """Yield (tape, window) over each block's rounds [0, stop()), in round order.
@@ -557,18 +533,15 @@ class _Helper:
         """
         tape = None
         while True:
-            header = self.ready.read(_READY.size)
-            if len(header) < _READY.size:
+            try:
+                message = self.ready.recv()
+            except Exception:  # noqa: BLE001  (EOF, or cut short by the helper's death)
                 self._lost()
-            slot, j, s0, s1 = _READY.unpack(header)
-            if slot == _END:
+            if message is None:
                 return
-            if slot == _ERROR:
-                try:
-                    exc = pickle.loads(self.ready.read())
-                except Exception:  # noqa: BLE001  (cut short by the helper's death)
-                    self._lost()
-                raise exc
+            if isinstance(message, BaseException):
+                raise message
+            slot, j, s0, s1 = message
             if s0 < stop():
                 first = self.edges[j]
                 if tape is None or tape.replicates.start != first:
@@ -577,7 +550,7 @@ class _Helper:
                                                                   len(tape.replicates)))
             # a helper that has died is found at the next read
             with contextlib.suppress(BrokenPipeError):
-                _write(self.free, _FREE.pack(slot, stop()))
+                self.free.send((slot, stop()))
 
     def _lost(self):
         os.kill(self.pid, signal.SIGKILL)
@@ -639,15 +612,15 @@ def _over_the_air(config: RunConfig, chan: ChannelConfig, win: _Window, i: int, 
         k = int(np.argmin(ok[b]))
         failures.append((reps[b], 3, f"transmit power violated by device {k} at round {s} "
                          f"of replicate {reps[b]}: ||x||^2 = {sq[b, k]:.6g} > {power}"))
-    y, _ = noma_superpose(signals, gains, win.noise[i][sel], chan.noise_level)
+    y, _ = noma_superpose(signals, gains, win.drawn["noise"][i][sel], chan.noise_level)
     if overflowed:
         # the round fails; keep the division by K alpha in range meanwhile
         alpha = np.where(unbounded, 1.0, alpha)
     received = receive_aggregate(y, alpha, K)
-    if win.restore is not None:
+    if "restore" in win.drawn:
         # a noiseless channel cannot supply the Langevin noise the receiver
         # normally repurposes; restore it at full strength
-        received = received + np.sqrt(2.0 * eta / K) * win.restore[i][sel]
+        received = received + np.sqrt(2.0 * eta / K) * win.drawn["restore"][i][sel]
     out.alpha[reps, s] = alpha
     out.beta[reps, s] = beta
     out.power_use[reps, s] = sq.max(axis=1) / power
@@ -678,13 +651,15 @@ def _advance(config: RunConfig, chan: ChannelConfig, groups, A_global, b_global,
         agg_by_round = tape.flags[:, s0:s1].T
         any_agg = agg_by_round.any(axis=1).tolist()
         all_agg = agg_by_round.all(axis=1).tolist()
+        batches = [win.drawn.get(f"batch{j}") for j in range(len(groups))]
+        step_noise = win.drawn.get("step_noise")
         # each round's entering particles and summed gradients, for the
         # statistics below; the recurrence replaces ``thetas`` and never
         # writes into it
         states, grad_sums = [thetas], []
         for i, s in enumerate(range(s0, s1)):
             grads = None if single else np.empty((B, K, d))
-            for g, batch in zip(groups, win.batch):
+            for g, batch in zip(groups, batches):
                 th = thetas if single else thetas[:, g.devices]
                 if batch is None:
                     # the prior term sits inside the precomputed per-device hessian
@@ -700,14 +675,14 @@ def _advance(config: RunConfig, chan: ChannelConfig, groups, A_global, b_global,
                     grads[:, g.devices] = gr
 
             step = thetas - eta * grads
-            new = step if win.step_noise is None else step + win.step_noise[i]
+            new = step if step_noise is None else step + step_noise[i]
             failures = []
             if any_agg[i]:
                 sel = slice(None) if all_agg[i] else np.flatnonzero(agg_by_round[i])
-                if tape.wireless:
+                if win.gains is not None:
                     new[sel] = _over_the_air(config, chan, win, i, s, sel, step[sel], out,
                                              block[sel], failures)[:, None, :]
-                else:
+                elif K > 1:  # the average of one device is itself (SGLD's every round)
                     new[sel] = new[sel].sum(axis=1, keepdims=True) / K
             avg = new.sum(axis=1) / K
             if not np.isfinite(avg).all():
@@ -744,7 +719,7 @@ def _advance(config: RunConfig, chan: ChannelConfig, groups, A_global, b_global,
                 - np.stack(grad_sums, axis=1))
         v_c[:, s0:s1] = np.einsum("bwd,bwd->bw", diff, diff)
         # drop this window before its slot goes back to the helper
-        del win, states, grad_sums, kept, dev, diff
+        del win, batches, step_noise, states, grad_sums, kept, dev, diff
 
     out.flags[rows] = tape.flags
     out.device_mean[rows] = mean_acc / config.s_use

@@ -9,6 +9,7 @@ import pytest
 import wfald.protocol as protocol
 from test_protocol import kill_helper_at
 from wfald.cli import build_parser, main
+from wfald.harness import RESULT_COLUMNS
 
 SMALL_ARGS = ["--set", "k=3", "--set", "dim=2", "--set", "n_samples=12",
               "--set", "eta=0.01", "--set", "s_total=10", "--set", "s_burn=4",
@@ -101,6 +102,48 @@ def test_bad_values_exit_1_without_traceback(argv, tmp_path, capsys):
 
 def test_missing_config_file(tmp_path):
     assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == 1
+
+
+@pytest.mark.parametrize("case", ["run_output_file", "sweep_output_file", "config_dir",
+                                  "results_dir", "results_missing_column",
+                                  "results_bad_cell"])
+def test_bad_paths_exit_1_without_traceback(case, tmp_path, capsys):
+    """A path of the wrong kind, or a results table that cannot be read, is one line.
+
+    The line names the path, and the column of a bad cell.
+    """
+    columns = list(RESULT_COLUMNS)
+    good = ["WFALD", *["1.0"] * (len(columns) - 1)]
+    plot = ["plotdata", "--figure", "pc_curve", "--results"]
+    a_file = tmp_path / "taken"
+    a_file.write_text("")
+    path, column = a_file, None
+    if case == "run_output_file":
+        argv = ["run", *SMALL_ARGS, "--output", str(a_file)]
+    elif case == "sweep_output_file":
+        argv = ["sweep", *SMALL_ARGS, "--output", str(a_file)]
+    elif case == "config_dir":
+        path, argv = tmp_path, ["run", "--config", str(tmp_path)]
+    elif case == "results_dir":
+        path, argv = tmp_path, [*plot, str(tmp_path)]
+    elif case == "results_missing_column":
+        path, column = tmp_path / "results.csv", "mse_se"
+        i = columns.index(column)
+        path.write_text(",".join(columns[:i] + columns[i + 1:]) + "\n"
+                        + ",".join(good[:i] + good[i + 1:]) + "\n")
+        argv = [*plot, str(path)]
+    else:
+        path, column = tmp_path / "results.csv", "mse_mean"
+        good[columns.index(column)] = "abc"
+        path.write_text(",".join(columns) + "\n" + ",".join(good) + "\n")
+        argv = [*plot, str(path)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert str(path) in err
+    if column is not None:
+        assert column in err
 
 
 def test_divergence_exits_with_protocol_failure(tmp_path, capsys):

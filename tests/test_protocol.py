@@ -102,7 +102,8 @@ def test_algorithms_share_schedule_and_batches(monkeypatch):
 
     def spy(tape, s0, s1, drawn):
         window = receive(tape, s0, s1, drawn)
-        for g, rows in zip(tape.groups, window.batch):
+        for i, g in enumerate(tape.groups):
+            rows = window.drawn[f"batch{i}"]
             for b, r in enumerate(tape.replicates):
                 for j, k in enumerate(range(g.devices.start, g.devices.stop)):
                     seen[r, k].append(rows[:, b, j] - j * g.n)
@@ -244,10 +245,11 @@ def test_tape_window_stays_within_its_memory_budget():
     groups = protocol._build_groups(partition_even(data, cfg.k), cfg.k, cfg.p_b)
     slots = protocol._Slots(cfg, chan, groups, protocol.REPLICATE_BLOCK)
     tape = protocol._Tape(cfg, chan, groups, 0, protocol.REPLICATE_BLOCK, force_final=False)
-    batch, *arrays = drawn = slots.views(1, protocol.TAPE_WINDOW, protocol.REPLICATE_BLOCK)
+    drawn = slots.views(1, protocol.TAPE_WINDOW, protocol.REPLICATE_BLOCK)
     tape.fill(0, protocol.TAPE_WINDOW, drawn)
-    assert [rows.dtype for rows in batch] == [np.int16]
-    assert sum(a.nbytes for a in [*batch, *arrays] if a is not None) <= slots.size
+    assert list(drawn) == ["batch0", "step_noise", "noise"]
+    assert drawn["batch0"].dtype == np.int16
+    assert sum(a.nbytes for a in drawn.values()) <= slots.size
     assert slots.size <= 1_362_176
     assert time.perf_counter() - start < 1.0
 
@@ -298,14 +300,17 @@ def kill_helper_at(monkeypatch, round_):
     monkeypatch.setattr(protocol._Tape, "receive", killing_receive)
 
 
-@pytest.mark.parametrize("outcome", ["ok", "protocol_error", "helper_failure", "helper_killed"])
+@pytest.mark.parametrize("outcome", ["ok", "protocol_error", "helper_failure",
+                                     "helper_unpicklable", "helper_killed"])
 def test_no_child_outlives_run(monkeypatch, outcome):
     """The tape's helper process is reaped before ``run`` returns or raises.
 
     A helper failure (here in the third window) reaches the caller with the
-    type and message the helper raised.  A helper killed in the middle of a
-    run (here while the parent holds the third window) ends the run with a
-    one-line ProtocolError, not a hang.
+    type and message the helper raised.  One that cannot be pickled (it
+    holds a lambda) cannot reach the parent, so the helper exits with status
+    1.  That, and a helper killed in the middle of a run (here while the
+    parent holds the third window), end the run with a one-line
+    ProtocolError, not a hang.
     """
     cfg = small_config(algorithm="WFALD", p_c=1.0, gain_model="rayleigh", replicates=3)
     data = build_dataset(cfg)
@@ -313,12 +318,13 @@ def test_no_child_outlives_run(monkeypatch, outcome):
     if outcome == "protocol_error":
         monkeypatch.setattr(ChannelConfig, "draw_gains",
                             lambda self, size, rng: np.tile([1.0, 1e-12, 1.0], (size[0], 1)))
-    elif outcome == "helper_failure":
+    elif outcome in ("helper_failure", "helper_unpicklable"):
         fill = protocol._Tape.fill
 
         def failing_fill(self, s0, s1, drawn):
             if s0 >= 4:
-                raise _HelperFailure("tape window failed")
+                raise _HelperFailure("tape window failed" if outcome == "helper_failure"
+                                     else lambda: None)
             return fill(self, s0, s1, drawn)
 
         monkeypatch.setattr(protocol._Tape, "fill", failing_fill)
@@ -339,9 +345,37 @@ def test_no_child_outlives_run(monkeypatch, outcome):
             run(cfg, data)
         assert "\n" not in str(raised.value)
         assert str(raised.value).startswith("the tape helper process ")
-        assert str(raised.value).endswith(f"(killed by signal {int(signal.SIGKILL)})")
+        how = ("exit status 1" if outcome == "helper_unpicklable"
+               else f"killed by signal {int(signal.SIGKILL)}")
+        assert str(raised.value).endswith(f"({how})")
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_snr_above_the_noise_cap_leaves_the_run_unchanged():
+    """WFALD's claim as an invariance: capped channel noise is exactly Langevin noise.
+
+    On a round whose common gain sits at the noise cap, beta = 0 and the
+    received aggregate is FALD's step with the channel draw as its common
+    noise, whatever the SNR.  So runs at SNRs where every wireless round is
+    capped agree to rounding; at 10 dB some rounds are power limited and the
+    run moves.
+    """
+    cfg = small_config(algorithm="WFALD", k=4, n_samples=40, s_total=30, s_burn=10,
+                       replicates=3)
+    data = build_dataset(cfg)
+    ref, *others = [run(dataclasses.replace(cfg, snr_db=snr), data) for snr in (20.0, 40.0, 60.0)]
+    for res in (ref, *others):
+        wireless = ~np.isnan(res.beta)
+        assert wireless.any() and (res.beta[wireless] == 0.0).all()
+    for res in others:
+        assert np.array_equal(res.flags, ref.flags)
+        for name in ("avg_traj", "theta_final", "device_mean", "v_theta", "v_c"):
+            np.testing.assert_allclose(getattr(res, name), getattr(ref, name), rtol=1e-12,
+                                       atol=0, err_msg=name)
+    low = run(dataclasses.replace(cfg, snr_db=10.0), data)
+    assert (low.beta[~np.isnan(low.beta)] > 0).any()
+    assert not np.allclose(low.avg_traj, ref.avg_traj, rtol=1e-6, atol=0)
 
 
 def test_divergence_raises_protocol_error():
