@@ -182,7 +182,7 @@ class BoundInputs:
     beta_by_round: np.ndarray
 
     @classmethod
-    def from_run(cls, result, posterior: GaussianDist, replicate: int | None = None) -> "BoundInputs":
+    def from_run(cls, result, replicate: int | None = None) -> "BoundInputs":
         """Bound inputs of one replicate, or of all of them, shape (R, S), when None."""
         c = result.constants
         cfg = result.config
@@ -191,7 +191,7 @@ class BoundInputs:
         return cls(smoothness=c.smoothness, strong_convexity=c.strong_convexity,
                    grad_bound=c.grad_bound, sigma_sq_sum=c.grad_noise_sq_sum,
                    eta=cfg.eta, p_c=cfg.p_c, k=cfg.k, dim=cfg.dim,
-                   w2_init_sq=gaussian_w2_squared(init, posterior),
+                   w2_init_sq=gaussian_w2_squared(init, result.posterior),
                    beta_by_round=np.nan_to_num(beta, nan=0.0))
 
 

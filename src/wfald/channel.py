@@ -47,10 +47,9 @@ class ChannelConfig:
 
     ``snr`` is the per-block signal-to-noise ratio power/(d * noise_level)
     with d = block_dim.  ``gain_model`` is "constant" (every |h_k| equal to
-    ``gain_value``) or "rayleigh" (|h_k| Rayleigh with scale chosen so
-    E[h^2] = 2 * rayleigh_scale^2; the default scale 1/sqrt(2) gives unit
-    mean-square gain).  Signs are taken positive: phase is assumed
-    pre-compensated.
+    ``gain_value``) or "rayleigh" (|h_k| Rayleigh with scale 1/sqrt(2), so
+    the mean-square gain E[h^2] = 2 * scale^2 is 1).  Signs are taken
+    positive: phase is assumed pre-compensated.
     """
 
     power: float = 1.0
@@ -58,7 +57,6 @@ class ChannelConfig:
     block_dim: int = 1
     gain_model: str = "constant"
     gain_value: float = 1.0
-    rayleigh_scale: float = 2 ** -0.5
 
     def __post_init__(self):
         if self.power <= 0:
@@ -100,7 +98,7 @@ class ChannelConfig:
         """
         if self.gain_model == "constant":
             return np.full(size, self.gain_value)
-        return rng.rayleigh(self.rayleigh_scale, size)
+        return rng.rayleigh(2 ** -0.5, size)
 
 
 #: a payload norm below this has squared entries under the normal float range

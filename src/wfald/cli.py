@@ -17,10 +17,10 @@ import sys
 import numpy as np
 
 from .channel import ProtocolError
-from .harness import (ConfigurationError, FIGURES, ITERATION_COLUMNS,
+from .harness import (ConfigurationError, FIGURES, ITERATION_COLUMNS, PLOT_COLUMNS,
                       bound_skip_reason, build_run_config,
                       build_sweep_spec, config_record, emit_plotdata, evaluate, parse_config,
-                      plotdata_csv, run_sweep, write_csv)
+                      run_sweep, write_csv)
 
 
 def _config_args(sub):
@@ -94,15 +94,17 @@ def _cmd_sweep(args) -> int:
 def _cmd_plotdata(args) -> int:
     records = emit_plotdata(args.results, args.figure)
     if args.format == "csv":
-        text = plotdata_csv(records)
+        table = {c: [r[c] for r in records] for c in PLOT_COLUMNS}
+        write_csv(args.output or None, PLOT_COLUMNS, table)
     else:
         text = json.dumps(records, indent=2, sort_keys=True) + "\n"
+        if args.output:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
         print(f"wrote {args.output} ({len(records)} records)")
-    else:
-        sys.stdout.write(text)
     return 0
 
 

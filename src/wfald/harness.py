@@ -20,12 +20,14 @@ reshapes ``results.csv`` into tidy series tables for plotting.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
+import functools
 import hashlib
-import io
 import json
 import os
+import sys
 import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -36,7 +38,7 @@ from ._version import __version__
 from .analysis import (BoundInputs, contraction_gamma, drift_bounds, empirical_gaussian,
                        gaussian_w2_squared, per_device_mse, predictive_error,
                        running_mse, w2_bound_sequence)
-from .model import Dataset, exact_posterior, generate_synthetic
+from .model import Dataset, generate_synthetic
 from .protocol import ALGORITHMS, RunConfig, RunResult, run
 from .rng import data_generator, test_data_generator
 
@@ -61,7 +63,6 @@ ITERATION_COLUMNS = (
 
 _BOUNDED = ("WFALD", "FALD")  # algorithms the convergence bound applies to
 
-
 # -------------------------------------------------------------- datasets --- #
 
 
@@ -78,13 +79,12 @@ def build_dataset(config: RunConfig) -> Dataset:
     return generate_synthetic(config.n_samples, config.dim, star, config.noise_std, rng)
 
 
-def build_test_set(config: RunConfig, theta_star: np.ndarray,
-                   per_device: int = 500) -> tuple[np.ndarray, np.ndarray]:
-    """Held-out per-device test data, shapes (k, dim, per_device) and (k, per_device)."""
+def build_test_set(config: RunConfig, theta_star: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Held-out test data of 500 samples per device, shapes (k, dim, 500) and (k, 500)."""
     rng = test_data_generator(config.master_seed)
     us, vs = [], []
     for _ in range(config.k):
-        d = generate_synthetic(per_device, config.dim, theta_star, config.noise_std, rng)
+        d = generate_synthetic(500, config.dim, theta_star, config.noise_std, rng)
         us.append(d.covariates)
         vs.append(d.targets)
     return np.stack(us), np.stack(vs)
@@ -93,7 +93,7 @@ def build_test_set(config: RunConfig, theta_star: np.ndarray,
 # -------------------------------------------------------- config parsing --- #
 
 
-@dataclass
+@dataclass(frozen=True)
 class SweepSpec:
     """A grid of runs sharing one base configuration."""
 
@@ -114,11 +114,19 @@ class SweepSpec:
             raise ConfigurationError("sweep.replicates must be at least 1")
         if not self.pc_grid or not self.snr_db_grid or not self.algorithms:
             raise ConfigurationError("sweep grids and sweep.algorithms must be non-empty")
-        for config in sweep_configs(self):
+        for _, config in self.grid:
             try:
                 config.validate()
             except ValueError as exc:
                 raise ConfigurationError(f"sweep point {config.algorithm}: {exc}") from None
+
+    @functools.cached_property
+    def grid(self) -> list[tuple[tuple, RunConfig]]:
+        """((algorithm, p_c, snr_db), config) per :func:`sweep_points` entry, expanded once."""
+        return [((algo, pc, snr), dataclasses.replace(
+                    self.base, algorithm=algo, p_c=self.base.p_c if pc is None else pc,
+                    snr_db=snr, replicates=self.replicates, seed_path=path))
+                for algo, pc, snr, path in sweep_points(self)]
 
 
 #: comma lists, each mapped to the key whose grammar its items follow
@@ -258,8 +266,8 @@ def bound_skip_reason(result: RunResult) -> str | None:
     return None
 
 
-def summarize_run(result: RunResult, posterior, test_inputs=None, test_targets=None):
-    """Aggregate a run into a summary row and a per-iteration table.
+def summarize_run(result: RunResult, test_inputs=None, test_targets=None):
+    """Aggregate a run into a summary row and a per-iteration table, against its posterior.
 
     The table maps each name in ``ITERATION_COLUMNS`` to a length-S array
     indexed by completed round s = 1..S: ``s`` is an int array, every other
@@ -268,7 +276,7 @@ def summarize_run(result: RunResult, posterior, test_inputs=None, test_targets=N
     not aggregate over the air), and accuracy columns the state after round
     s.  The bound columns are nan where ``bound_skip_reason`` gives a reason.
     """
-    cfg = result.config
+    cfg, posterior = result.config, result.posterior
     R, S = cfg.replicates, cfg.s_total
     errors = per_device_mse(result.device_mean, posterior.mean)
     mse_mean, mse_se = _mean_se(errors)
@@ -284,7 +292,7 @@ def summarize_run(result: RunResult, posterior, test_inputs=None, test_targets=N
     bound_mean = bound_se = float("nan")
     bound_per_iter = np.full(S, np.nan)
     if bound_skip_reason(result) is None:
-        seqs = w2_bound_sequence(BoundInputs.from_run(result, posterior))
+        seqs = w2_bound_sequence(BoundInputs.from_run(result))
         bound_per_iter = seqs[:, 1:].mean(axis=0)
         bound_mean, bound_se = _mean_se(seqs[:, -1])
 
@@ -349,7 +357,7 @@ def evaluate(config: RunConfig) -> tuple[RunResult, dict, dict[str, np.ndarray]]
     data = build_dataset(config)
     result = run(dataclasses.replace(config, theta_star=data.theta_star), data)
     test_u, test_v = build_test_set(config, data.theta_star)
-    summary, table = summarize_run(result, exact_posterior(data), test_u, test_v)
+    summary, table = summarize_run(result, test_u, test_v)
     return result, summary, table
 
 
@@ -360,12 +368,14 @@ def _fmt(value) -> str:
     return repr(float(value)) if isinstance(value, float) else str(value)
 
 
-def write_csv(path: str, columns, table):
+def write_csv(path: str | None, columns, table):
     """Write ``table``, which maps each name in ``columns`` to a sequence, as CSV.
 
-    Floats are written with ``repr``, other cells with ``str``, 1,024 rows at a time.
+    Floats are written with ``repr``, other cells with ``str``, 1,024 rows at a
+    time.  A ``path`` of None writes to standard output.
     """
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with (contextlib.nullcontext(sys.stdout) if path is None
+          else open(path, "w", encoding="utf-8", newline="\n")) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
         for start in range(0, len(table[columns[0]]), 1024):
@@ -406,16 +416,6 @@ def _evaluate_point(args):
     return idx, evaluate(config)[1]
 
 
-def sweep_configs(spec: SweepSpec) -> list[RunConfig]:
-    configs = []
-    for algo, pc, snr, path in sweep_points(spec):
-        configs.append(dataclasses.replace(
-            spec.base, algorithm=algo,
-            p_c=spec.base.p_c if pc is None else pc,
-            snr_db=snr, replicates=spec.replicates, seed_path=path))
-    return configs
-
-
 def run_sweep(spec: SweepSpec, output_dir: str, workers: int = 1) -> list[dict]:
     """Run every grid point and write results.csv plus manifest.json.
 
@@ -427,8 +427,7 @@ def run_sweep(spec: SweepSpec, output_dir: str, workers: int = 1) -> list[dict]:
     if workers < 1:
         raise ConfigurationError(f"need at least one worker, got {workers}")
     os.makedirs(output_dir, exist_ok=True)
-    configs = sweep_configs(spec)
-    tasks = list(enumerate(configs))
+    tasks = [(i, config) for i, (_, config) in enumerate(spec.grid)]
     if workers == 1:
         results = dict(map(_evaluate_point, tasks))
     else:
@@ -436,7 +435,7 @@ def run_sweep(spec: SweepSpec, output_dir: str, workers: int = 1) -> list[dict]:
             results = dict(pool.map(_evaluate_point, tasks))
     rows = [results[i] for i in range(len(tasks))]
     # report the effective grid coordinates, nan where an axis is collapsed
-    for row, (algo, pc, snr, _) in zip(rows, sweep_points(spec)):
+    for row, ((_, pc, snr), _) in zip(rows, spec.grid):
         row["p_c"] = float("nan") if pc is None else pc
         row["snr_db"] = float("nan") if snr is None else snr
 
@@ -453,7 +452,7 @@ def sweep_manifest(spec: SweepSpec) -> dict:
     payload = {
         "base_config": config_record(spec.base),
         "pc_grid": list(spec.pc_grid),
-        "snr_db_grid": [None if s is None else s for s in spec.snr_db_grid],
+        "snr_db_grid": list(spec.snr_db_grid),
         "algorithms": list(spec.algorithms),
         "replicates": spec.replicates,
     }
@@ -466,7 +465,7 @@ def sweep_manifest(spec: SweepSpec) -> dict:
                         "data namespace 1, runs namespace 2 keyed by (grid position, replicate), "
                         "held-out data namespace 3; algorithms share paths at equal grid positions"),
         "config_sha256": digest,
-        "row_count": len(sweep_points(spec)),
+        "row_count": len(spec.grid),
         **payload,
     }
 
@@ -528,11 +527,3 @@ def emit_plotdata(results_path: str, figure: str) -> list[dict]:
     out.sort(key=lambda r: (r["series"], r["x"]))
     return out
 
-
-def plotdata_csv(records: list[dict]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(PLOT_COLUMNS)
-    for rec in records:
-        writer.writerow([_fmt(rec[c]) for c in PLOT_COLUMNS])
-    return buf.getvalue()

@@ -9,6 +9,10 @@ negative log posterior splits evenly across K devices,
 so that the device costs sum to the global cost.  With unit noise the local
 gradient is ``U_k (U_k^T theta - v_k) + theta / K`` and the posterior is the
 Gaussian N((U U^T + I)^{-1} U v, (U U^T + I)^{-1}).
+
+:func:`normal_equations` forms every Gram product of a run: U U^T + I and
+U v for the posterior, U_k U_k^T + I/K and U_k v_k for the engine's
+full-batch gradients and the measured constants alike.
 """
 
 from __future__ import annotations
@@ -172,20 +176,21 @@ def batch_size(p_b: float, n_k: int) -> int:
     return max(1, int(np.floor(p_b * n_k + 0.5)))
 
 
+def normal_equations(data: Dataset | LocalDataset,
+                     k_total: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Hessian U U^T + I/K and linear term U v of a cost that holds 1/K of the prior.
+
+    With K = 1 on the whole dataset: the posterior's precision and shift.
+    """
+    U = data.covariates
+    return U @ U.T + np.eye(data.dim) / k_total, U @ data.targets
+
+
 def exact_posterior(data: Dataset) -> GaussianDist:
     """Closed-form Gaussian posterior N((UU^T+I)^{-1} U v, (UU^T+I)^{-1})."""
-    U, v = data.covariates, data.targets
-    d = data.dim
-    A = U @ U.T + np.eye(d)
-    mean = np.linalg.solve(A, U @ v)
+    A, b = normal_equations(data)
     cov = np.linalg.inv(A)
-    cov = 0.5 * (cov + cov.T)
-    return GaussianDist(mean=mean, covariance=cov)
-
-
-def _device_hessian(shard: LocalDataset, k_total: int) -> np.ndarray:
-    U = shard.covariates
-    return U @ U.T + np.eye(shard.dim) / k_total
+    return GaussianDist(mean=np.linalg.solve(A, b), covariance=0.5 * (cov + cov.T))
 
 
 def _sigma_closed_form(shard: LocalDataset, p_b: float, theta: np.ndarray) -> float:
@@ -213,26 +218,22 @@ def _sigma_closed_form(shard: LocalDataset, p_b: float, theta: np.ndarray) -> fl
     return var + bias_sq
 
 
-def measure_constants(shards: list[LocalDataset], k_total: int, region_radius: float,
-                      p_b: float) -> RegularityConstants:
+def measure_constants(shards: list[LocalDataset], k_total: int, mu_p: np.ndarray,
+                      region_radius: float, p_b: float) -> RegularityConstants:
     """Measure smoothness, strong convexity, gradient bound and batch noise.
 
     Smoothness / strong convexity are the extreme eigenvalues of the device
     Hessians U_k U_k^T + I/K.  The gradient bound is taken over the ball of
-    radius ``region_radius`` centered at the posterior mean:
-    max_k ||grad f_k(mean)|| + L * region_radius.  Batch-noise bounds are
-    evaluated at the posterior mean in closed form.
+    radius ``region_radius`` centered at the posterior mean ``mu_p``:
+    max_k ||grad f_k(mu_p)|| + L * region_radius.  Batch-noise bounds are
+    evaluated at ``mu_p`` in closed form.
     """
     if region_radius <= 0:
         raise ValueError("region_radius must be positive")
 
-    data = Dataset(covariates=np.concatenate([s.covariates for s in shards], axis=1),
-                   targets=np.concatenate([s.targets for s in shards]))
-    mu_p = exact_posterior(data).mean
-
     l_max, mu_min = -np.inf, np.inf
     for shard in shards:
-        w = np.linalg.eigvalsh(_device_hessian(shard, k_total))
+        w = np.linalg.eigvalsh(normal_equations(shard, k_total)[0])
         l_max = max(l_max, float(w[-1]))
         mu_min = min(mu_min, float(w[0]))
 

@@ -59,6 +59,10 @@ is the residual noise power, whose overflow the engine reports as a failure
 naming the channel gain.  An exception in the helper reaches the caller
 with its type and message; a helper that dies is a :class:`ProtocolError`.
 
+Set-up.  :func:`run` forms the exact posterior once, and its result carries
+it to the summaries.  Full-batch gradients use the device Hessians of
+:func:`wfald.model.normal_equations` that the measured L and mu come from.
+
 Invariance.  Philox streams are counter based, so a stream drawn in blocks of
 any size yields exactly the values per-round draws yield (pinned by
 ``tests/test_rng.py``), and every replicate's arithmetic is the same
@@ -94,8 +98,8 @@ from . import rng as _rng
 from .channel import (ChannelConfig, ProtocolError, check_power,
                       inversion_power_gain, noma_superpose, power_gain,
                       receive_aggregate, residual_noise_power)
-from .model import (Dataset, RegularityConstants, batch_size, exact_posterior,
-                    measure_constants, partition_even)
+from .model import (Dataset, GaussianDist, RegularityConstants, batch_size, exact_posterior,
+                    measure_constants, normal_equations, partition_even)
 
 ALGORITHMS = ("WFALD", "FALD", "SGLD", "WFedAvg")
 
@@ -229,10 +233,12 @@ class RunResult:
     and realized stochastic gradients.  ``beta``, ``alpha`` and ``power_use``
     are (replicates, rounds): the residual channel noise power, the common
     gain and the largest ||x_k||^2 / P of each wireless aggregation round,
-    NaN on every other round.
+    NaN on every other round.  ``posterior`` is the exact posterior of the
+    run's dataset, the target every summary measures against.
     """
 
     config: RunConfig
+    posterior: GaussianDist
     constants: RegularityConstants
     flags: np.ndarray
     avg_traj: np.ndarray
@@ -257,8 +263,8 @@ class _DeviceGroup:
     n: int
     m: int
     samples: np.ndarray | None   # (g * n, d + 1): rows [u_i, v_i], device-major; None at full batch
-    hessian: np.ndarray          # (g, d, d): U U^T + I/K, full-batch fast path
-    lin: np.ndarray              # (g, d): U v
+    hessian: np.ndarray          # (g, d, d): U_k U_k^T + I/K, full-batch fast path
+    lin: np.ndarray              # (g, d): U_k v_k
 
 
 def _build_groups(shards, k_total: int, p_b: float) -> list[_DeviceGroup]:
@@ -266,19 +272,16 @@ def _build_groups(shards, k_total: int, p_b: float) -> list[_DeviceGroup]:
     for shard in shards:
         by_size.setdefault(shard.size, []).append(shard.owner)
     groups = []
-    d = shards[0].dim
-    eye = np.eye(d)
     for n, members in sorted(by_size.items()):
         # partition_even gives the larger shards to the first devices, so the
         # devices of one shard size form a contiguous range
-        U = np.stack([shards[k].covariates for k in members])
-        v = np.stack([shards[k].targets for k in members])
-        hess = np.einsum("gdn,gen->gde", U, U) + eye / k_total
-        lin = np.einsum("gdn,gn->gd", U, v)
+        hess, lin = map(np.stack, zip(*(normal_equations(shards[k], k_total) for k in members)))
         m = batch_size(p_b, n)
         samples = None
         if m < n:
-            samples = np.concatenate([U.transpose(0, 2, 1), v[..., None]], axis=2).reshape(-1, d + 1)
+            # in C order, so that the rows a batch takes are contiguous
+            samples = np.ascontiguousarray(np.concatenate(
+                [np.column_stack([shards[k].covariates.T, shards[k].targets]) for k in members]))
         groups.append(_DeviceGroup(devices=slice(members[0], members[-1] + 1), n=n, m=m,
                                    samples=samples, hessian=hess, lin=lin))
     return groups
@@ -750,22 +753,22 @@ def run(config: RunConfig, data: Dataset) -> RunResult:
 
     shards = partition_even(data, config.k)
     groups = _build_groups(shards, config.k, config.p_b)
-    A_global = data.covariates @ data.covariates.T + np.eye(config.dim)
-    b_global = data.covariates @ data.targets
+    # the global cost's gradient A theta - b, the target of V_c
+    A_global, b_global = normal_equations(data)
     chan = config.channel()
 
     posterior = exact_posterior(data)
     radius = config.region_radius
     if radius is None:
         radius = 5.0 * float(np.sqrt(np.linalg.eigvalsh(posterior.covariance)[-1]))
-    constants = measure_constants(shards, config.k, radius, config.p_b)
+    constants = measure_constants(shards, config.k, posterior.mean, radius, config.p_b)
 
     R, S, K, d = config.replicates, config.s_total, config.k, config.dim
     force_final = config.force_final_agg
     if force_final is None:
         force_final = config.algorithm == "WFedAvg"
     result = RunResult(
-        config=config, constants=constants,
+        config=config, posterior=posterior, constants=constants,
         flags=np.empty((R, S), dtype=bool),
         avg_traj=np.zeros((R, S + 1, d)),
         device_mean=np.empty((R, K, d)),

@@ -42,8 +42,9 @@ kernel's order above that on AVX2 and AVX-512 machines, introselect's order
 without AVX2).  That order sets the rounding of the mini-batch gradient sum.
 The BLAS kernel, chosen by CPU class, is a second source: it rounds the
 targets ``theta_star @ U`` of ``generate_synthetic``, and through them every
-output, and ``U @ U.T`` and ``U @ v`` of the posterior and V_c (README;
-ROADMAP item 9 takes BLAS off the run path).
+output, and the Gram products of ``model.normal_equations`` behind the
+posterior, V_c and the device Hessians (README; ROADMAP item 9 takes BLAS
+off the run path).
 """
 
 from __future__ import annotations

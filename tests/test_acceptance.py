@@ -228,7 +228,7 @@ def test_07_distance_bound_dominates_every_grid_point(bench):
                     empirical_gaussian(result.avg_traj[:, s, :]), post)
                 for mode in ("per_round", "final"):
                     bound = min(
-                        w2_bound_sequence(BoundInputs.from_run(result, post, r), mode)[s]
+                        w2_bound_sequence(BoundInputs.from_run(result, r), mode)[s]
                         for r in range(reps))
                     assert bound >= est, (
                         f"bound {bound:.4g} < estimate {est:.4g} at "

@@ -9,7 +9,7 @@ import pytest
 import wfald.protocol as protocol
 from test_protocol import kill_helper_at
 from wfald.cli import build_parser, main
-from wfald.harness import RESULT_COLUMNS
+from wfald.harness import FIGURES, RESULT_COLUMNS
 
 SMALL_ARGS = ["--set", "k=3", "--set", "dim=2", "--set", "n_samples=12",
               "--set", "eta=0.01", "--set", "s_total=10", "--set", "s_burn=4",
@@ -237,6 +237,22 @@ def test_sweep_then_plotdata(tmp_path, capsys):
     assert code == 0
     records = json.loads(target.read_text())
     assert [r["x"] for r in records] == [0.5, 1.0]
+
+
+@pytest.mark.parametrize("figure", FIGURES)
+def test_plotdata_csv_writes_the_same_bytes_to_stdout_and_to_a_file(tmp_path, capsys, figure):
+    out = tmp_path / "sweep"
+    assert main(["sweep", *SMALL_ARGS, "--set", "sweep.algorithms=WFALD, FALD, WFedAvg",
+                 "--set", "sweep.pc_grid=0.5, 1.0", "--set", "sweep.snr_db_grid=15, none",
+                 "--output", str(out)]) == 0
+    plot = ["plotdata", "--results", str(out / "results.csv"), "--figure", figure]
+    capsys.readouterr()
+    assert main([*plot, "--format", "csv"]) == 0
+    stdout = capsys.readouterr().out.encode()
+    assert main([*plot, "--format", "csv", "--output", str(tmp_path / "plot.csv")]) == 0
+    written = (tmp_path / "plot.csv").read_bytes()
+    assert stdout == written
+    assert written.startswith(b"figure,series,x,y,y_stderr\n") and written.count(b"\n") > 1
 
 
 def test_missing_subcommand_is_a_usage_error(capsys):

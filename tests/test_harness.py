@@ -10,6 +10,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import wfald.harness as harness
+import wfald.model as model
+import wfald.protocol as protocol
 from wfald.harness import (
     _PARSERS,
     FIGURES,
@@ -24,7 +27,6 @@ from wfald.harness import (
     build_test_set,
     emit_plotdata,
     parse_config,
-    plotdata_csv,
     read_config_text,
     run_sweep,
     summarize_run,
@@ -33,7 +35,7 @@ from wfald.harness import (
     write_csv,
 )
 from wfald.analysis import empirical_gaussian, gaussian_w2_squared
-from wfald.cli import build_parser
+from wfald.cli import build_parser, main
 from wfald.model import exact_posterior
 from wfald.protocol import BENCHMARK_THETA_STAR, RunConfig, run
 
@@ -175,13 +177,13 @@ class TestDatasetBuilders:
     def test_test_set_shapes_and_determinism(self):
         cfg = build_run_config(SMALL)
         star = cfg.resolve_theta_star(np.random.default_rng(0))
-        u1, v1 = build_test_set(cfg, star, per_device=7)
-        u2, v2 = build_test_set(cfg, star, per_device=7)
-        assert u1.shape == (3, 2, 7) and v1.shape == (3, 7)
+        u1, v1 = build_test_set(cfg, star)
+        u2, v2 = build_test_set(cfg, star)
+        assert u1.shape == (3, 2, 500) and v1.shape == (3, 500)
         assert np.array_equal(u1, u2) and np.array_equal(v1, v2)
         # held out: disjoint stream from the training data
         train = build_dataset(cfg)
-        assert not np.allclose(u1[0], train.covariates[:, :7])
+        assert not np.allclose(u1[0, :, :12], train.covariates)
 
 
 class TestSummaries:
@@ -189,14 +191,13 @@ class TestSummaries:
         base = dict(SMALL, algorithm=algorithm, replicates="5", snr_db="15")
         base.update({k: str(v) for k, v in kw.items()})
         cfg = build_run_config(base)
-        data = build_dataset(cfg)
-        return run(cfg, data), exact_posterior(data)
+        return run(cfg, build_dataset(cfg))
 
     def test_summary_row_is_complete(self):
-        result, post = self.make_run()
+        result = self.make_run()
         star = result.config.resolve_theta_star(np.random.default_rng(0))
-        u, v = build_test_set(result.config, star, per_device=20)
-        summary, table = summarize_run(result, post, u, v)
+        u, v = build_test_set(result.config, star)
+        summary, table = summarize_run(result, u, v)
         assert set(summary) == set(RESULT_COLUMNS)
         S = result.config.s_total
         assert list(table) == list(ITERATION_COLUMNS)
@@ -210,16 +211,19 @@ class TestSummaries:
         assert np.isfinite(summary["test_ens_mean"])
 
     def test_no_bound_for_frequentist_runs(self):
-        result, post = self.make_run(algorithm="WFedAvg")
-        summary, table = summarize_run(result, post)
+        result = self.make_run(algorithm="WFedAvg")
+        summary, table = summarize_run(result)
         assert np.isnan(summary["bound_final_mean"])
         assert table["bound"].shape == (result.config.s_total,)
         assert np.isnan(table["bound"]).all()
         assert np.isnan(summary["test_ens_mean"])  # no test set supplied
 
     def test_mse_matches_direct_computation(self):
-        result, post = self.make_run()
-        summary, table = summarize_run(result, post)
+        result = self.make_run()
+        post = exact_posterior(build_dataset(result.config))
+        assert np.array_equal(result.posterior.mean, post.mean)
+        assert np.array_equal(result.posterior.covariance, post.covariance)
+        summary, table = summarize_run(result)
         diff = result.device_mean - post.mean
         direct = np.sum(diff * diff, axis=-1).mean(axis=-1)
         assert summary["mse_mean"] == pytest.approx(direct.mean(), rel=1e-12)
@@ -228,6 +232,22 @@ class TestSummaries:
               for s in range(1, result.config.s_total + 1)]
         assert table["w2_sq"].tolist() == pytest.approx(w2, rel=1e-12)
         assert summary["w2_sq"] == pytest.approx(w2[-1], rel=1e-12)
+
+
+def test_evaluate_forms_the_posterior_once(monkeypatch):
+    """One exact posterior per config: the run's, which the summaries read."""
+    calls = []
+
+    def spy(data):
+        calls.append(data)
+        return exact_posterior(data)
+
+    for module in (model, protocol, harness):
+        if hasattr(module, "exact_posterior"):
+            monkeypatch.setattr(module, "exact_posterior", spy)
+    result, _, _ = harness.evaluate(build_run_config({**SMALL, "replicates": "4"}))
+    assert len(calls) == 1
+    assert np.array_equal(result.posterior.mean, exact_posterior(calls[0]).mean)
 
 
 class TestSweepGrid:
@@ -299,9 +319,13 @@ class TestSweepOutput:
         series = {r["series"] for r in records}
         assert series == {"WFALD snr=15dB"}
         assert [r["x"] for r in records] == [0.5, 1.0]
-        text = plotdata_csv(records)
-        assert text.splitlines()[0] == "figure,series,x,y,y_stderr"
-        assert len(text.splitlines()) == 3
+        target = tmp_path / "plot.csv"
+        assert main(["plotdata", "--results", str(out / "results.csv"),
+                     "--figure", "pc_curve", "--output", str(target)]) == 0
+        with open(target, encoding="utf-8", newline="") as fh:
+            reader = csv.DictReader(fh)
+            assert reader.fieldnames == ["figure", "series", "x", "y", "y_stderr"]
+            assert list(reader) == [{k: _fmt(v) for k, v in r.items()} for r in records]
 
     def test_baseline_compare_uses_last_iterate_for_wfedavg(self, tmp_path):
         spec = SweepSpec(base=build_run_config(SMALL), pc_grid=(0.5,),
@@ -370,7 +394,7 @@ def long_chain():
                             "n_samples": "120"})
     data = build_dataset(cfg)
     result = run(dataclasses.replace(cfg, theta_star=data.theta_star), data)
-    return (result, exact_posterior(data), *build_test_set(cfg, data.theta_star))
+    return (result, *build_test_set(cfg, data.theta_star))
 
 
 def test_long_table_is_summarized_and_written_in_bounded_memory(long_chain, tmp_path):

@@ -183,7 +183,7 @@ def test_measure_constants_single_device_hand_case():
     data = Dataset(covariates=np.array([[1.0, 0.0], [0.0, 2.0]]),
                    targets=np.array([1.0, 1.0]))
     shards = partition_even(data, 1)
-    consts = measure_constants(shards, 1, region_radius=0.5, p_b=1.0)
+    consts = measure_constants(shards, 1, exact_posterior(data).mean, region_radius=0.5, p_b=1.0)
     assert consts.smoothness == pytest.approx(5.0, rel=1e-12)
     assert consts.strong_convexity == pytest.approx(2.0, rel=1e-12)
     # the full gradient vanishes at the posterior mean, so G = L * radius
@@ -229,8 +229,9 @@ def test_measure_constants_grad_bound_grows_with_radius():
     rng = np.random.default_rng(10)
     data = generate_synthetic(60, 3, rng.standard_normal(3), 1.0, rng)
     shards = partition_even(data, 4)
-    small = measure_constants(shards, 4, region_radius=0.1, p_b=0.5)
-    large = measure_constants(shards, 4, region_radius=2.0, p_b=0.5)
+    mean = exact_posterior(data).mean
+    small = measure_constants(shards, 4, mean, region_radius=0.1, p_b=0.5)
+    large = measure_constants(shards, 4, mean, region_radius=2.0, p_b=0.5)
     assert large.grad_bound > small.grad_bound
     assert large.smoothness == small.smoothness
 

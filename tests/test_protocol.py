@@ -13,7 +13,7 @@ import wfald.protocol as protocol
 from round_reference import replay_batches, replay_fald
 from wfald.channel import ChannelConfig, ProtocolError
 from wfald.harness import build_dataset
-from wfald.model import partition_even
+from wfald.model import exact_posterior, measure_constants, partition_even
 from wfald.protocol import RunConfig, run
 from wfald.rng import run_streams
 
@@ -71,6 +71,23 @@ def test_engine_matches_round_by_round_reference(settings, replicate):
                                rtol=1e-10, atol=1e-13)
     np.testing.assert_allclose(engine.v_theta[replicate], v_theta, rtol=1e-10, atol=1e-13)
     np.testing.assert_allclose(engine.v_c[replicate], v_c, rtol=1e-10, atol=1e-13)
+
+
+def test_full_batch_group_hessians_are_the_measured_device_hessians(monkeypatch):
+    """The engine's full-batch gradients use the Hessians that L and mu come from, bitwise."""
+    cfg = small_config(k=4, n_samples=18, p_b=1.0)  # shards of 5, 5, 4 and 4 samples
+    data = build_dataset(cfg)
+    shards = partition_even(data, cfg.k)
+    groups = protocol._build_groups(shards, cfg.k, cfg.p_b)
+    assert len(groups) == 2 and all(g.samples is None for g in groups)
+    mean = exact_posterior(data).mean
+    measured, eigvalsh = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: measured.append(a) or eigvalsh(a))
+    measure_constants(shards, cfg.k, mean, 1.0, cfg.p_b)
+    assert len(measured) == cfg.k
+    for g in groups:
+        for i, k in enumerate(range(g.devices.start, g.devices.stop)):
+            assert np.array_equal(g.hessian[i], measured[k]), k
 
 
 def test_sgld_is_single_device_fald():
