@@ -153,7 +153,9 @@ def _finite_gain(alpha, gains):
     """
     # every payload zero: any gain transmits the zero signal
     alpha = np.where(np.isfinite(alpha), alpha, 1.0)
-    return np.minimum(alpha, _MAX_INVERSION * np.min(gains, axis=-1))[()]
+    with np.errstate(over="ignore"):  # a cap past the float range is no cap
+        cap = _MAX_INVERSION * np.min(gains, axis=-1)
+    return np.minimum(alpha, cap)[()]
 
 
 def noma_superpose(signals: np.ndarray, gains: np.ndarray, noise: np.ndarray,

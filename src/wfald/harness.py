@@ -355,7 +355,10 @@ def evaluate(config: RunConfig) -> tuple[RunResult, dict, dict[str, np.ndarray]]
     single device, is scored on the same K per-device sets as the others.
     """
     data = build_dataset(config)
-    result = run(dataclasses.replace(config, theta_star=data.theta_star), data)
+    try:
+        result = run(dataclasses.replace(config, theta_star=data.theta_star), data)
+    except ValueError as exc:  # a region_radius the measured constants cannot take
+        raise ConfigurationError(str(exc)) from None
     test_u, test_v = build_test_set(config, data.theta_star)
     summary, table = summarize_run(result, test_u, test_v)
     return result, summary, table

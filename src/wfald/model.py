@@ -225,8 +225,9 @@ def measure_constants(shards: list[LocalDataset], k_total: int, mu_p: np.ndarray
     Smoothness / strong convexity are the extreme eigenvalues of the device
     Hessians U_k U_k^T + I/K.  The gradient bound is taken over the ball of
     radius ``region_radius`` centered at the posterior mean ``mu_p``:
-    max_k ||grad f_k(mu_p)|| + L * region_radius.  Batch-noise bounds are
-    evaluated at ``mu_p`` in closed form.
+    max_k ||grad f_k(mu_p)|| + L * region_radius; a radius whose G^2
+    overflows is a ValueError.  Batch-noise bounds are evaluated at ``mu_p``
+    in closed form.
     """
     if region_radius <= 0:
         raise ValueError("region_radius must be positive")
@@ -239,6 +240,9 @@ def measure_constants(shards: list[LocalDataset], k_total: int, mu_p: np.ndarray
 
     grad_center = max(float(np.linalg.norm(local_grad(mu_p, s, k_total))) for s in shards)
     grad_bound = grad_center + l_max * region_radius
+    if not np.isfinite(grad_bound * grad_bound):  # the bounds take G^2
+        raise ValueError(f"region_radius {region_radius:g} takes the squared gradient bound "
+                         f"G^2 = ({grad_bound:.3g})^2 past the float range")
 
     sigma_sq = np.array([_sigma_closed_form(s, p_b, mu_p) for s in shards])
 

@@ -38,26 +38,26 @@ type that indexes their sample table (16-bit at the reference problem).
 
 Processes.  :func:`run` forks one helper process (``os.fork``, so POSIX
 only) and kills and reaps it before it returns or raises, so no child
-outlives a run.  Each process derives every block's streams with
-:func:`wfald.rng.run_streams`, builds only the generators it reads, and
-draws the block's flags.  The helper reads the batch keys (and takes their
-``argpartition``), the Langevin noise, the receiver noise and the restore
-block; the parent reads the fading gains, marks the near-zero ones and runs
-the recurrence.  The helper draws one window ahead, the next block's first
-after a block's last, into one of two slots of an anonymous shared mapping
-made before the fork, so its draws overlap the recurrence without sharing an
-interpreter lock with it.  Two pipes hand the slots over: the helper names
-each slot it has filled, and the parent hands a slot back, with the current
-failure round, once it is done with that window's drift statistics, so no
-view of a slot outlives its window.  Apart from the flags, which both draw
-whole, each stream is read by one process only, and windows are consumed in
-round order, so the draws are those of a serial run.  Public functions stay
-in the parent, because a profiler or a test that wraps or patches one
-(``draw_gains``, say) sees only the parent's calls.  So does arithmetic that
-can overflow, which the parent's ``np.errstate`` governs; the one exception
-is the residual noise power, whose overflow the engine reports as a failure
-naming the channel gain.  An exception in the helper reaches the caller
-with its type and message; a helper that dies is a :class:`ProtocolError`.
+outlives a run.  The helper is the one reader of the random streams: per
+block it derives them with :func:`wfald.rng.run_streams`, draws the flags
+and reads the batch keys (taking their ``argpartition``), the Langevin
+noise, the fading gains, the receiver noise and the restore block.  The
+parent derives no stream; it takes the flags and gains from the window
+slots, marks the near-zero gains and runs the recurrence.  The helper draws
+one window ahead, the next block's first after a block's last, into one of
+two slots of an anonymous shared mapping made before the fork, so its draws
+overlap the recurrence without sharing an interpreter lock with it.  Two
+pipes hand the slots over: the helper names each slot it has filled, and
+the parent hands a slot back, with the current failure round, once it is
+done with that window's drift statistics, so no view of a slot outlives its
+window.  Windows are consumed in round order, so the draws are those of a
+serial run.  A patch made before :func:`run` (of ``draw_gains``, say)
+reaches the helper through the fork, but a profiler in the parent sees no
+call of ``run_streams`` or ``draw_gains``.  The parent's ``np.errstate``
+governs the arithmetic that can overflow, except the residual noise power,
+whose overflow the engine reports as a failure naming the channel gain.  An
+exception in the helper reaches the caller with its type and message; a
+helper that dies is a :class:`ProtocolError`.
 
 Set-up.  :func:`run` forms the exact posterior once, and its result carries
 it to the summaries.  Full-batch gradients use the device Hessians of
@@ -85,6 +85,7 @@ import contextlib
 import dataclasses
 import functools
 import itertools
+import math
 import mmap
 import operator
 import os
@@ -107,7 +108,7 @@ ALGORITHMS = ("WFALD", "FALD", "SGLD", "WFedAvg")
 BENCHMARK_THETA_STAR = np.array([-0.0615, -1.6057, 1.7629, 1.0240, -1.5902])
 
 #: replicates advanced together: 32 runs a 20- to 24-replicate sweep point as
-#: one block, and a window slot of 32 holds 1.1 MB at the reference problem
+#: one block, and a window slot of 32 holds 1.25 MB at the reference problem
 #: (K=30, n=1200; pinned by tests/test_protocol.py)
 REPLICATE_BLOCK = 32
 
@@ -287,65 +288,33 @@ def _build_groups(shards, k_total: int, p_b: float) -> list[_DeviceGroup]:
     return groups
 
 
-@dataclass
-class _Window:
-    """Rounds [s0, s1) of a tape's streams, laid out round-major.
-
-    ``drawn`` holds the arrays of :func:`_layout` in a slot the helper filled,
-    valid until the slot goes back to it.  The parent's ``gains`` (w, B, K) and
-    ``tiny`` (w, B), which marks near-zero gains, are None without a channel.
-    """
-
-    s0: int
-    s1: int
-    drawn: dict
-    gains: np.ndarray | None
-    tiny: np.ndarray | None
-
-
 class _Tape:
     """Every random draw of one block of replicates, a window of rounds at a time.
 
-    The constructor derives each replicate's streams and draws its round
-    flags for the whole run; the parent and the helper each build their own
-    tape of a block.  In the helper, ``fill(s0, s1, drawn)`` draws rounds
-    [s0, s1) of every stream but the flags and the gains into the arrays of
-    a window slot.  In the parent, ``receive(s0, s1, drawn)`` draws the same
-    rounds' fading gains and wraps them with the slot's arrays in a
-    :class:`_Window`.  Windows are drawn and received in round order and
-    every stream is read by one process only, so the draws are those of a
+    The helper process builds one per block, and no other reader of the
+    block's streams exists.  The constructor derives each replicate's streams
+    and draws its round flags for the whole run; ``fill(s0, s1, drawn)``
+    draws rounds [s0, s1) of every stream into the arrays of a window slot.
+    Windows are filled in round order, so the draws are those of a
     round-by-round run.
     """
 
     def __init__(self, config: RunConfig, chan: ChannelConfig, groups, first: int,
                  count: int, force_final: bool):
         self.config, self.chan, self.groups = config, chan, groups
-        self.replicates = range(first, first + count)
-        self.streams = _rng.run_streams(config.master_seed, self.replicates, config.k,
-                                        config.seed_path)
+        self.streams = _rng.run_streams(config.master_seed, range(first, first + count),
+                                        config.k, config.seed_path)
         self.flags = np.stack([st.flags.random(config.s_total) < config.p_c
                                for st in self.streams])
         if force_final:
             self.flags[:, -1] = True
 
-    def receive(self, s0: int, s1: int, drawn: dict) -> _Window:
-        gains = tiny = None
-        if "noise" in drawn:
-            # a public function, so in the parent (see "Processes" above)
-            gains = np.ones((s1 - s0, len(self.streams), self.config.k))
-            for b, st in enumerate(self.streams):
-                rounds = np.flatnonzero(self.flags[b, s0:s1])
-                if rounds.size:
-                    gains[rounds, b] = self.chan.draw_gains((rounds.size, self.config.k),
-                                                            st.gains)
-            tiny = gains.min(axis=2) < 1e-6 * np.median(gains, axis=2)
-        return _Window(s0, s1, drawn, gains, tiny)
-
     def fill(self, s0: int, s1: int, drawn: dict) -> None:
         cfg = self.config
         K, d, w, B = cfg.k, cfg.dim, s1 - s0, len(self.streams)
-        noise, restore = drawn.get("noise"), drawn.get("restore")
+        gains, noise, restore = drawn.get("gains"), drawn.get("noise"), drawn.get("restore")
         agg = self.flags[:, s0:s1]
+        drawn["flags"][...] = agg.T
         over_air = agg if noise is not None else np.zeros_like(agg)
 
         for j, g in enumerate(self.groups):
@@ -386,10 +355,12 @@ class _Tape:
             xi *= np.sqrt(2.0 * cfg.eta)
 
         if noise is not None:
+            gains.fill(1.0)
             blocks = 1 if restore is None else 2
             for b, st in enumerate(self.streams):
                 rounds = np.flatnonzero(over_air[b])
                 if rounds.size:
+                    gains[rounds, b] = self.chan.draw_gains((rounds.size, K), st.gains)
                     draws = st.channel.standard_normal((rounds.size, blocks, d))
                     noise[rounds, b] = draws[:, 0]
                     if restore is not None:
@@ -402,16 +373,19 @@ def _layout(config: RunConfig, chan: ChannelConfig, groups) -> dict:
     A window of w rounds and B replicates holds each as a (w, B, *shape)
     array; an array the algorithm does not draw is left out.
 
+    * ``flags`` () whether the round aggregates;
     * ``batch<j>`` (g, m) rows of group j's sample table picked by the
       mini-batches (left out at full batch);
     * ``step_noise`` (K, d) Langevin increments sqrt(2 eta) xi_k, zero where
       a round injects none (left out for WFedAvg);
+    * ``gains`` (K,) the fading gains |h_k| on wireless rounds, 1 on others
+      (left out without a channel);
     * ``noise`` (d,) the receiver's standard-normal block on wireless rounds,
       unset on others (left out without a channel);
     * ``restore`` (d,) likewise, for noiseless WFALD, the block that restores
       the Langevin noise.
     """
-    layout = {}
+    layout = {"flags": ((), np.dtype(bool))}
     for j, g in enumerate(groups):
         if g.samples is not None:
             # the narrowest signed type that holds every row of the table; a
@@ -422,6 +396,7 @@ def _layout(config: RunConfig, chan: ChannelConfig, groups) -> dict:
     if config.algorithm != "WFedAvg":
         layout["step_noise"] = ((config.k, config.dim), f8)
     if config.algorithm in ("WFALD", "WFedAvg"):
+        layout["gains"] = ((config.k,), f8)
         layout["noise"] = ((config.dim,), f8)
         if config.algorithm == "WFALD" and chan.noise_level == 0.0:
             layout["restore"] = ((config.dim,), f8)
@@ -443,7 +418,7 @@ class _Slots:
         self.offsets, size = {}, 0
         for name, (shape, dtype) in self.layout.items():
             self.offsets[name] = size
-            size += -(-rounds * replicates * np.prod(shape) * dtype.itemsize // 64) * 64
+            size += -(-rounds * replicates * math.prod(shape) * dtype.itemsize // 64) * 64
         self.size = int(size)
         self.buffer = mmap.mmap(-1, 2 * self.size)
 
@@ -526,15 +501,15 @@ class _Helper:
         ready.send(None)
 
     def windows(self, stop):
-        """Yield (tape, window) over each block's rounds [0, stop()), in round order.
+        """Yield (replicates, (s0, s1, drawn)) over each block's rounds [0, stop()).
 
-        A failure found in a window lowers ``stop()``; a window the helper
-        drew from rounds past it is dropped, and one that only reaches past
-        it is cut by the caller.  A window's slot goes back to the helper
-        when the caller asks for the next window, that is, once it is done
-        with this one.
+        Windows come in round order; ``drawn`` holds the :func:`_layout`
+        arrays of rounds [s0, s1) of the block ``replicates``.  A failure
+        found in a window lowers ``stop()``; a window the helper drew from
+        rounds past it is dropped, and one that only reaches past it is cut
+        by the caller.  A window's slot goes back to the helper when the
+        caller asks for the next window, that is, once it is done with it.
         """
-        tape = None
         while True:
             try:
                 message = self.ready.recv()
@@ -546,11 +521,8 @@ class _Helper:
                 raise message
             slot, j, s0, s1 = message
             if s0 < stop():
-                first = self.edges[j]
-                if tape is None or tape.replicates.start != first:
-                    tape = self.new_tape(first, self.edges[j + 1] - first)
-                yield tape, tape.receive(s0, s1, self.slots.views(slot, s1 - s0,
-                                                                  len(tape.replicates)))
+                first, end = self.edges[j], self.edges[j + 1]
+                yield range(first, end), (s0, s1, self.slots.views(slot, s1 - s0, end - first))
             # a helper that has died is found at the next read
             with contextlib.suppress(BrokenPipeError):
                 self.free.send((slot, stop()))
@@ -565,16 +537,20 @@ class _Helper:
                             f"drawn ({how})")
 
 
-def _over_the_air(config: RunConfig, chan: ChannelConfig, win: _Window, i: int, s: int,
+def _over_the_air(config: RunConfig, chan: ChannelConfig, drawn: dict, i: int, s: int,
                   sel, payloads: np.ndarray, out: RunResult, reps: np.ndarray, failures: list):
     """One wireless aggregation round for the replicates ``sel`` of a block.
 
-    Returns the received aggregates (b, d) and records alpha, beta and the
-    largest ||x_k||^2 / P of each replicate.  Failed checks go to ``failures``.
+    Reads round i of the window ``drawn``.  Returns the received aggregates
+    (b, d) and records alpha, beta and the largest ||x_k||^2 / P of each
+    replicate.  Failed checks go to ``failures``.
     """
     K, eta, power = config.k, config.eta, chan.power
-    gains = win.gains[i][sel]
-    tiny = win.tiny[i][sel]
+    gains = drawn["gains"][i][sel]
+    low = gains.min(axis=1)
+    tiny = low < 1e-6 * gains.max(axis=1)
+    if tiny.any():  # the median is at most the max, so only then can it mark a gain
+        tiny = low < 1e-6 * np.median(gains, axis=1)
     if tiny.any():
         b = int(np.argmax(tiny))
         k = int(np.argmin(gains[b]))
@@ -615,15 +591,15 @@ def _over_the_air(config: RunConfig, chan: ChannelConfig, win: _Window, i: int, 
         k = int(np.argmin(ok[b]))
         failures.append((reps[b], 3, f"transmit power violated by device {k} at round {s} "
                          f"of replicate {reps[b]}: ||x||^2 = {sq[b, k]:.6g} > {power}"))
-    y, _ = noma_superpose(signals, gains, win.drawn["noise"][i][sel], chan.noise_level)
+    y, _ = noma_superpose(signals, gains, drawn["noise"][i][sel], chan.noise_level)
     if overflowed:
         # the round fails; keep the division by K alpha in range meanwhile
         alpha = np.where(unbounded, 1.0, alpha)
     received = receive_aggregate(y, alpha, K)
-    if "restore" in win.drawn:
+    if "restore" in drawn:
         # a noiseless channel cannot supply the Langevin noise the receiver
         # normally repurposes; restore it at full strength
-        received = received + np.sqrt(2.0 * eta / K) * win.drawn["restore"][i][sel]
+        received = received + np.sqrt(2.0 * eta / K) * drawn["restore"][i][sel]
     out.alpha[reps, s] = alpha
     out.beta[reps, s] = beta
     out.power_use[reps, s] = sq.max(axis=1) / power
@@ -631,31 +607,32 @@ def _over_the_air(config: RunConfig, chan: ChannelConfig, win: _Window, i: int, 
 
 
 def _advance(config: RunConfig, chan: ChannelConfig, groups, A_global, b_global,
-             tape: _Tape, windows, stop: int, out: RunResult):
-    """Run a tape's block of replicates through rounds [0, stop) of its ``windows``.
+             replicates: range, windows, stop: int, out: RunResult):
+    """Run the block ``replicates`` through rounds [0, stop) of its ``windows``.
 
+    Each window is (s0, s1, drawn), as :meth:`_Helper.windows` yields them.
     Writes the block's rows of ``out``.  Returns None, or (round, message) of
     the earliest failing round, naming its lowest failing replicate.
     """
     K, d = config.k, config.dim
     eta, p_b = config.eta, config.p_b
-    first = tape.replicates.start
-    B = len(tape.replicates)
-    block = np.arange(first, first + B)
-    rows = slice(first, first + B)
+    B = len(replicates)
+    block = np.arange(replicates.start, replicates.stop)
+    rows = slice(replicates.start, replicates.stop)
     avg_traj, v_theta, v_c = out.avg_traj[rows], out.v_theta[rows], out.v_c[rows]
 
     thetas = np.zeros((B, K, d))
     mean_acc = np.zeros((B, K, d))
     single = len(groups) == 1
 
-    for win in windows:
-        s0, s1 = win.s0, min(win.s1, stop)
-        agg_by_round = tape.flags[:, s0:s1].T
+    for s0, s1, drawn in windows:
+        s1 = min(s1, stop)
+        agg_by_round = drawn["flags"][:s1 - s0]
+        out.flags[rows, s0:s1] = agg_by_round.T
         any_agg = agg_by_round.any(axis=1).tolist()
         all_agg = agg_by_round.all(axis=1).tolist()
-        batches = [win.drawn.get(f"batch{j}") for j in range(len(groups))]
-        step_noise = win.drawn.get("step_noise")
+        batches = [drawn.get(f"batch{j}") for j in range(len(groups))]
+        step_noise = drawn.get("step_noise")
         # each round's entering particles and summed gradients, for the
         # statistics below; the recurrence replaces ``thetas`` and never
         # writes into it
@@ -682,8 +659,8 @@ def _advance(config: RunConfig, chan: ChannelConfig, groups, A_global, b_global,
             failures = []
             if any_agg[i]:
                 sel = slice(None) if all_agg[i] else np.flatnonzero(agg_by_round[i])
-                if win.gains is not None:
-                    new[sel] = _over_the_air(config, chan, win, i, s, sel, step[sel], out,
+                if "gains" in drawn:
+                    new[sel] = _over_the_air(config, chan, drawn, i, s, sel, step[sel], out,
                                              block[sel], failures)[:, None, :]
                 elif K > 1:  # the average of one device is itself (SGLD's every round)
                     new[sel] = new[sel].sum(axis=1, keepdims=True) / K
@@ -722,9 +699,8 @@ def _advance(config: RunConfig, chan: ChannelConfig, groups, A_global, b_global,
                 - np.stack(grad_sums, axis=1))
         v_c[:, s0:s1] = np.einsum("bwd,bwd->bw", diff, diff)
         # drop this window before its slot goes back to the helper
-        del win, batches, step_noise, states, grad_sums, kept, dev, diff
+        del drawn, agg_by_round, batches, step_noise, states, grad_sums, kept, dev, diff
 
-    out.flags[rows] = tape.flags
     out.device_mean[rows] = mean_acc / config.s_use
     out.theta_final[rows] = thetas
     return None
@@ -788,9 +764,9 @@ def run(config: RunConfig, data: Dataset) -> RunResult:
     failure, stop = None, S
     with _Helper(config, chan, groups, edges, force_final) as helper:
         windows = helper.windows(lambda: stop)
-        for tape, block in itertools.groupby(windows, key=operator.itemgetter(0)):
+        for replicates, block in itertools.groupby(windows, key=operator.itemgetter(0)):
             # map, unlike a generator expression, keeps no window while it waits
-            found = _advance(config, chan, groups, A_global, b_global, tape,
+            found = _advance(config, chan, groups, A_global, b_global, replicates,
                              map(operator.itemgetter(1), block), stop, result)
             if found is not None:
                 stop, failure = found

@@ -49,8 +49,6 @@ off the run path).
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
@@ -91,37 +89,16 @@ class RunStreams:
     shared Bernoulli aggregation schedule, ``common`` the shared Langevin
     noise of noiseless aggregation rounds, ``channel`` the receiver noise of
     wireless rounds, ``gains`` the fading draws (untouched for constant
-    gains).  Each generator is built from its Philox key when it is first
-    read, so a process that reads only some of the streams builds only those.
+    gains).  A run derives each block's streams once, in the engine's helper
+    process, which reads all of them (``wfald.protocol``).
     """
 
     def __init__(self, shared: np.ndarray, device: np.ndarray):
-        self._shared = shared  # (4, 2) keys of flags, common, channel, gains
-        self._device = device  # (K, 2, 2) keys of each device's batch, noise
-
-    @functools.cached_property
-    def flags(self) -> np.random.Generator:
-        return _generator(self._shared[0])
-
-    @functools.cached_property
-    def common(self) -> np.random.Generator:
-        return _generator(self._shared[1])
-
-    @functools.cached_property
-    def channel(self) -> np.random.Generator:
-        return _generator(self._shared[2])
-
-    @functools.cached_property
-    def gains(self) -> np.random.Generator:
-        return _generator(self._shared[3])
-
-    @functools.cached_property
-    def batch(self) -> list:
-        return [_generator(key) for key in self._device[:, 0]]
-
-    @functools.cached_property
-    def noise(self) -> list:
-        return [_generator(key) for key in self._device[:, 1]]
+        # shared (4, 2): keys of flags, common, channel, gains;
+        # device (K, 2, 2): keys of each device's batch and noise streams
+        self.flags, self.common, self.channel, self.gains = map(_generator, shared)
+        self.batch = [_generator(key) for key in device[:, 0]]
+        self.noise = [_generator(key) for key in device[:, 1]]
 
 
 class _PhiloxKey(ISeedSequence):

@@ -87,17 +87,45 @@ def test_removed_storage_keys_are_unknown(key, tmp_path, capsys):
     ["run", "--set", "p_b=1e-6", "--set", "s_total=20", "--set", "s_burn=5"],
     ["sweep", *SMALL_ARGS, "--set", "p_b=0.1"],
     ["sweep", *SMALL_ARGS, "--set", "sweep.algorithms=SGLD", "--set", "p_b=0.04"],
+    ["run", "--set", "region_radius=1e200"],
+    ["run", "--set", "algorithm=SGLD", "--set", "region_radius=1e200"],
+    ["run", "--set", "algorithm=WFedAvg", "--set", "region_radius=1e160"],
 ], ids=["gain_model", "gain_value", "theta_star_length", "sweep_replicates", "snr_grid",
         "pc_grid", "no_algorithms", "sweep_workers_key", "workers_0", "workers_negative",
         "negative_seed", "nan_noise_std", "nan_snr", "inf_eta", "inf_power", "nan_snr_grid",
         "huge_snr", "tiny_snr", "huge_snr_grid", "tiny_snr_grid", "sub_sample_batch",
-        "sub_sample_batch_grid", "sub_sample_batch_sgld"])
+        "sub_sample_batch_grid", "sub_sample_batch_sgld", "huge_radius", "huge_radius_sgld",
+        "huge_radius_wfedavg"])
 def test_bad_values_exit_1_without_traceback(argv, tmp_path, capsys):
     assert main([*argv, "--output", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ")
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def test_huge_region_radius_in_a_sweep_exits_1_without_traceback(tmp_path, capsys):
+    """At the reference problem L is about 75, so a radius past about 1.8e152 overflows G^2.
+
+    The run of each grid point measures its constants, so a sweep finds the
+    error after it made its output directory, but writes no results.
+    """
+    out = tmp_path / "out"
+    assert main(["sweep", "--set", "region_radius=1e200", "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: region_radius 1e+200 ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not (out / "results.csv").exists()
+
+
+def test_huge_constant_gain_runs_without_a_warning(tmp_path, capsys):
+    """At |h_k| = 1e300 power control's inversion cap overflows to inf, meaning no cap."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["run", *SMALL_ARGS, "--set", "gain_value=1e300",
+                     "--output", str(tmp_path / "x")])
+    assert code == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_missing_config_file(tmp_path):

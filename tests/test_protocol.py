@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import wfald.protocol as protocol
+import wfald.rng as rng
 from round_reference import replay_batches, replay_fald
 from wfald.channel import ChannelConfig, ProtocolError
 from wfald.harness import build_dataset
@@ -107,29 +108,61 @@ def test_sgld_step_size_is_matched_to_the_round_clock():
     assert res.config.eta == pytest.approx(1e-2, rel=1e-15)
 
 
+def test_the_helper_process_is_the_only_reader_of_the_streams(monkeypatch, tmp_path):
+    """The calling process derives no stream and draws no gain; the helper does both.
+
+    Spies on ``run_streams`` and ``draw_gains`` append the pid of each call
+    to a file, so the calls of the helper, which inherits the spies through
+    the fork, are recorded too.  The spied run equals an unspied one bitwise.
+    """
+    cfg = small_config(algorithm="WFALD", snr_db=5.0, gain_model="rayleigh", replicates=3)
+    data = build_dataset(cfg)
+    plain = run(cfg, data)
+    log = tmp_path / "calls"
+
+    def spy(name, function):
+        def recorded(*args, **kwargs):
+            with open(log, "a", encoding="ascii") as fh:
+                fh.write(f"{name} {os.getpid()}\n")
+            return function(*args, **kwargs)
+        return recorded
+
+    monkeypatch.setattr(rng, "run_streams", spy("run_streams", rng.run_streams))
+    monkeypatch.setattr(ChannelConfig, "draw_gains", spy("draw_gains", ChannelConfig.draw_gains))
+    spied = run(cfg, data)
+    calls = [line.split() for line in log.read_text(encoding="ascii").splitlines()]
+    assert {name for name, _ in calls} == {"run_streams", "draw_gains"}
+    assert str(os.getpid()) not in {pid for _, pid in calls}
+    for field in dataclasses.fields(plain):
+        a, b = getattr(plain, field.name), getattr(spied, field.name)
+        if isinstance(a, np.ndarray):
+            assert np.array_equal(a, b, equal_nan=True), field.name
+
+
 def test_algorithms_share_schedule_and_batches(monkeypatch):
     """Same seed means same flags and the oracle's mini-batches in every algorithm.
 
-    A spy on ``_Tape.receive``, where the parent takes each window from the
+    A spy on ``_Helper.windows``, where the parent takes each window from the
     helper process, reads the window's batch rows back as shard indices:
     device j of group g owns rows j * g.n to (j + 1) * g.n - 1.
     """
-    receive = protocol._Tape.receive
+    windows = protocol._Helper.windows
     seen = collections.defaultdict(list)
-
-    def spy(tape, s0, s1, drawn):
-        window = receive(tape, s0, s1, drawn)
-        for i, g in enumerate(tape.groups):
-            rows = window.drawn[f"batch{i}"]
-            for b, r in enumerate(tape.replicates):
-                for j, k in enumerate(range(g.devices.start, g.devices.stop)):
-                    seen[r, k].append(rows[:, b, j] - j * g.n)
-        return window
-
-    monkeypatch.setattr(protocol._Tape, "receive", spy)
     kw = dict(force_final_agg=False, replicates=2)
     cfg_w = small_config(algorithm="WFALD", snr_db=5.0, gain_model="rayleigh", **kw)
     data = build_dataset(cfg_w)
+    groups = protocol._build_groups(partition_even(data, cfg_w.k), cfg_w.k, cfg_w.p_b)
+
+    def spy(helper, stop):
+        for replicates, (s0, s1, drawn) in windows(helper, stop):
+            for i, g in enumerate(groups):
+                rows = drawn[f"batch{i}"]
+                for b, r in enumerate(replicates):
+                    for j, k in enumerate(range(g.devices.start, g.devices.stop)):
+                        seen[r, k].append(rows[:, b, j] - j * g.n)
+            yield replicates, (s0, s1, drawn)
+
+    monkeypatch.setattr(protocol._Helper, "windows", spy)
     want = {(r, k): idx for r in range(cfg_w.replicates)
             for k, idx in enumerate(replay_batches(cfg_w, data, r))}
     res = {}
@@ -264,7 +297,7 @@ def test_tape_window_stays_within_its_memory_budget():
     tape = protocol._Tape(cfg, chan, groups, 0, protocol.REPLICATE_BLOCK, force_final=False)
     drawn = slots.views(1, protocol.TAPE_WINDOW, protocol.REPLICATE_BLOCK)
     tape.fill(0, protocol.TAPE_WINDOW, drawn)
-    assert list(drawn) == ["batch0", "step_noise", "noise"]
+    assert list(drawn) == ["flags", "batch0", "step_noise", "gains", "noise"]
     assert drawn["batch0"].dtype == np.int16
     assert sum(a.nbytes for a in drawn.values()) <= slots.size
     assert slots.size <= 1_362_176
@@ -299,22 +332,15 @@ class _HelperFailure(Exception):
 
 def kill_helper_at(monkeypatch, round_):
     """Make the parent SIGKILL the helper process when it receives the window at ``round_``."""
-    fork, receive = os.fork, protocol._Tape.receive
-    children = []
+    windows = protocol._Helper.windows
 
-    def recorded_fork():
-        pid = fork()
-        if pid:
-            children.append(pid)
-        return pid
+    def killing_windows(helper, stop):
+        for replicates, window in windows(helper, stop):
+            if window[0] == round_:
+                os.kill(helper.pid, signal.SIGKILL)
+            yield replicates, window
 
-    def killing_receive(tape, s0, s1, drawn):
-        if s0 == round_:
-            os.kill(children[-1], signal.SIGKILL)
-        return receive(tape, s0, s1, drawn)
-
-    monkeypatch.setattr(os, "fork", recorded_fork)
-    monkeypatch.setattr(protocol._Tape, "receive", killing_receive)
+    monkeypatch.setattr(protocol._Helper, "windows", killing_windows)
 
 
 @pytest.mark.parametrize("outcome", ["ok", "protocol_error", "helper_failure",
