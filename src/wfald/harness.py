@@ -25,6 +25,7 @@ import csv
 import dataclasses
 import functools
 import hashlib
+import io
 import json
 import os
 import sys
@@ -371,20 +372,38 @@ def _fmt(value) -> str:
     return repr(float(value)) if isinstance(value, float) else str(value)
 
 
+def _cell(text: str) -> str:
+    """``text`` as a csv writer writes it among other fields."""
+    if not any(c in text for c in ',"\r\n'):
+        return text  # the csv module quotes only for these characters
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text, ""])
+    return buf.getvalue()[:-2]
+
+
+def _column(values):
+    """The cells of part of one column, a numeric array's formatted by its kind."""
+    if isinstance(values, np.ndarray):
+        if values.dtype.kind in "biuf":
+            return map(repr if values.dtype.kind == "f" else str, values.tolist())
+        values = values.tolist()
+    return map(_cell, map(_fmt, values))
+
+
 def write_csv(path: str | None, columns, table):
     """Write ``table``, which maps each name in ``columns`` to a sequence, as CSV.
 
-    Floats are written with ``repr``, other cells with ``str``, 1,024 rows at a
-    time.  A ``path`` of None writes to standard output.
+    Floats are written with ``repr``, other cells with ``str``, quoted where
+    the csv module would quote them.  Rows go 1,024 at a time, each column
+    of them formatted by one ``map``.  A ``path`` of None writes to standard
+    output.
     """
     with (contextlib.nullcontext(sys.stdout) if path is None
           else open(path, "w", encoding="utf-8", newline="\n")) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
+        fh.write(",".join(map(_cell, columns)) + "\n")
         for start in range(0, len(table[columns[0]]), 1024):
-            chunk = [table[c][start:start + 1024] for c in columns]
-            cells = [map(_fmt, c.tolist() if isinstance(c, np.ndarray) else c) for c in chunk]
-            writer.writerows(zip(*cells))
+            cells = [_column(table[c][start:start + 1024]) for c in columns]
+            fh.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
 def sweep_points(spec: SweepSpec) -> list[tuple]:
@@ -424,18 +443,32 @@ def run_sweep(spec: SweepSpec, output_dir: str, workers: int = 1) -> list[dict]:
 
     Output is independent of ``workers``: rows are keyed by grid index and
     emitted in canonical order, and all randomness is derived from the seed
-    scheme rather than execution order.
+    scheme rather than execution order.  A grid point that raises leaves
+    none of the directories this call made.
     """
     spec.validate()
     if workers < 1:
         raise ConfigurationError(f"need at least one worker, got {workers}")
+    # the output directory and those of its ancestors this call makes,
+    # deepest first; made before any point runs, so a path that cannot be a
+    # directory fails at once
+    made, path = [], os.path.abspath(output_dir)
+    while not os.path.lexists(path):
+        made.append(path)
+        path = os.path.dirname(path)
     os.makedirs(output_dir, exist_ok=True)
     tasks = [(i, config) for i, (_, config) in enumerate(spec.grid)]
-    if workers == 1:
-        results = dict(map(_evaluate_point, tasks))
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = dict(pool.map(_evaluate_point, tasks))
+    try:
+        if workers == 1:
+            results = dict(map(_evaluate_point, tasks))
+        else:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                results = dict(pool.map(_evaluate_point, tasks))
+    except BaseException:
+        for path in made:
+            with contextlib.suppress(OSError):
+                os.rmdir(path)
+        raise
     rows = [results[i] for i in range(len(tasks))]
     # report the effective grid coordinates, nan where an axis is collapsed
     for row, ((_, pc, snr), _) in zip(rows, spec.grid):

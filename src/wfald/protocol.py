@@ -21,16 +21,21 @@ Engine.  Replicates are independent, so the engine advances a block of up to
 ``REPLICATE_BLOCK`` of them together: one Python iteration per round updates
 a (B, K, d) array of particles, and each per-round step (mini-batch
 gradients, power control, superposition) is one vectorized call for the
-whole block.  No round reads the drift statistics or the post-burn-in sum,
-so those are computed once per tape window, on the stacked particles and
-gradient sums of its rounds.  A tape feeds the block.  For each replicate it
+whole block.  No round reads the device average, the drift statistics or
+the post-burn-in sum, so those are computed once per tape window, on the
+stacked particles and gradient sums of its rounds; a round only checks its
+particles are finite.  A tape feeds the block.  For each replicate it
 first draws the round flags of the whole run, which fix what every round
 draws from the other streams: batch keys on every round, private noise where
 tau < 1, common noise where tau > 0, and on wireless rounds the fading
 gains, the receiver noise and, for a noiseless WFALD channel, the block that
-restores the Langevin noise.  It then draws each of those streams
-``TAPE_WINDOW`` rounds at a time, in the order a round-by-round run consumes
-it, so memory stays bounded by the block and the window, not by the run.
+restores the Langevin noise.  It then draws each of those streams a window
+at a time, in the order a round-by-round run consumes it.  The window
+length follows the block: a block of B replicates gets windows of
+``TAPE_WINDOW * (REPLICATE_BLOCK // B)`` rounds (at most S), so a window
+never holds more than ``TAPE_WINDOW`` rounds of a full block, and a thin
+block, such as SGLD's single chain, hands fewer and longer windows over.
+Memory stays bounded by the block and the window, not by the run.
 The block is 32 so that a sweep point of 20 to 24 replicates runs as one
 block and pays each round's numpy calls once.  To keep that block's memory
 small, a window's mini-batch rows are stored in the narrowest signed integer
@@ -112,9 +117,10 @@ BENCHMARK_THETA_STAR = np.array([-0.0615, -1.6057, 1.7629, 1.0240, -1.5902])
 #: (K=30, n=1200; pinned by tests/test_protocol.py)
 REPLICATE_BLOCK = 32
 
-#: rounds of every random stream drawn at once; the helper has two window
-#: slots, and 32 rounds put a sweep's peak RSS up 6 % (measured at 16
-#: replicates per block)
+#: rounds of every random stream drawn at once by a block of 17 to 32
+#: replicates; a block of B gets REPLICATE_BLOCK // B times as many, so no
+#: slot outgrows a full block's.  The helper has two window slots, and 32
+#: rounds put a sweep's peak RSS up 6 % (measured at 16 replicates per block)
 TAPE_WINDOW = 16
 
 
@@ -322,13 +328,18 @@ class _Tape:
             if rows is None:
                 continue
             size = g.devices.stop - g.devices.start
-            keys = np.empty((size, w, g.n))
+            # at most TAPE_WINDOW rounds of keys at a time, however long the
+            # window; each stream is still read in round order
+            keys = np.empty((size, min(w, TAPE_WINDOW), g.n))
             first_row = (np.arange(size) * g.n)[:, None]
             for b, st in enumerate(self.streams):
-                for i, k in enumerate(range(g.devices.start, g.devices.stop)):
-                    st.batch[k].random(out=keys[i])
-                chosen = np.argpartition(keys, g.m, axis=2)[:, :, :g.m]
-                np.add(chosen.transpose(1, 0, 2), first_row, out=rows[:, b])
+                for c0 in range(0, w, TAPE_WINDOW):
+                    part = keys[:, :min(TAPE_WINDOW, w - c0)]
+                    for i, k in enumerate(range(g.devices.start, g.devices.stop)):
+                        st.batch[k].random(out=part[i])
+                    chosen = np.argpartition(part, g.m, axis=2)[:, :, :g.m]
+                    np.add(chosen.transpose(1, 0, 2), first_row,
+                           out=rows[c0:c0 + part.shape[1], b])
 
         xi = drawn.get("step_noise")
         if xi is not None:
@@ -406,21 +417,29 @@ def _layout(config: RunConfig, chan: ChannelConfig, groups) -> dict:
 class _Slots:
     """Two window slots in one anonymous shared mapping, made before the fork.
 
-    A slot holds the arrays of :func:`_layout` for a window of up to
-    ``TAPE_WINDOW`` rounds of the largest block.  ``views(slot, w, B)`` lays
-    the arrays of a window of w rounds and B replicates over the start of
-    their regions, C-contiguous, and returns them by name.
+    A block of B replicates gets windows of ``rounds(B)`` rounds, so a thin
+    block hands fewer, longer windows over, and a slot holds the arrays of
+    :func:`_layout` for the largest window of any of the run's ``blocks``
+    sizes.  That is never more than ``TAPE_WINDOW`` rounds of
+    ``REPLICATE_BLOCK`` replicates.  ``views(slot, w, B)`` lays the arrays of
+    a window of w rounds and B replicates over the start of their regions,
+    C-contiguous, and returns them by name.
     """
 
-    def __init__(self, config: RunConfig, chan: ChannelConfig, groups, replicates: int):
+    def __init__(self, config: RunConfig, chan: ChannelConfig, groups, blocks):
         self.layout = _layout(config, chan, groups)
-        rounds = min(TAPE_WINDOW, config.s_total)
+        self.s_total = config.s_total
+        cells = max(self.rounds(B) * B for B in blocks)
         self.offsets, size = {}, 0
         for name, (shape, dtype) in self.layout.items():
             self.offsets[name] = size
-            size += -(-rounds * replicates * math.prod(shape) * dtype.itemsize // 64) * 64
+            size += -(-cells * math.prod(shape) * dtype.itemsize // 64) * 64
         self.size = int(size)
         self.buffer = mmap.mmap(-1, 2 * self.size)
+
+    def rounds(self, B: int) -> int:
+        """Rounds in each window of a block of B replicates (its last may be shorter)."""
+        return min(self.s_total, TAPE_WINDOW * (REPLICATE_BLOCK // B))
 
     def views(self, slot: int, w: int, B: int) -> dict:
         return {name: np.ndarray((w, B, *shape), dtype, self.buffer,
@@ -440,7 +459,7 @@ class _Helper:
     def __init__(self, config: RunConfig, chan: ChannelConfig, groups, edges, force_final: bool):
         self.new_tape = functools.partial(_Tape, config, chan, groups, force_final=force_final)
         self.edges = edges
-        self.slots = _Slots(config, chan, groups, max(np.diff(edges)))
+        self.slots = _Slots(config, chan, groups, set(np.diff(edges).tolist()))
         self.ready, ready = Pipe(duplex=False)
         free, self.free = Pipe(duplex=False)
         try:
@@ -485,7 +504,7 @@ class _Helper:
         """
         idle = [1, 0]
         for j, (first, end) in enumerate(zip(self.edges[:-1], self.edges[1:])):
-            tape, s0 = None, 0
+            tape, s0, rounds = None, 0, self.slots.rounds(end - first)
             while True:
                 if not idle:
                     slot, stop = free.recv()
@@ -493,7 +512,7 @@ class _Helper:
                 if s0 >= stop:
                     break
                 tape = tape or self.new_tape(first, end - first)
-                s1 = min(stop, s0 + TAPE_WINDOW)
+                s1 = min(stop, s0 + rounds)
                 slot = idle.pop()
                 tape.fill(s0, s1, self.slots.views(slot, s1 - s0, end - first))
                 ready.send((slot, j, s0, s1))
@@ -664,33 +683,36 @@ def _advance(config: RunConfig, chan: ChannelConfig, groups, A_global, b_global,
                                              block[sel], failures)[:, None, :]
                 elif K > 1:  # the average of one device is itself (SGLD's every round)
                     new[sel] = new[sel].sum(axis=1, keepdims=True) / K
-            avg = new.sum(axis=1) / K
-            if not np.isfinite(avg).all():
+            # a non-finite particle makes its device average non-finite
+            if not np.isfinite(new).all():
                 bad = ~np.isfinite(new).all(axis=2)
-                if bad.any():
-                    b = int(np.argmax(bad.any(axis=1)))
-                    failures.append((block[b], 4, f"non-finite particle on device "
-                                     f"{int(np.argmax(bad[b]))} at round {s} of replicate "
-                                     f"{block[b]}; the step size is likely too large for "
-                                     "this problem"))
+                b = int(np.argmax(bad.any(axis=1)))
+                failures.append((block[b], 4, f"non-finite particle on device "
+                                 f"{int(np.argmax(bad[b]))} at round {s} of replicate "
+                                 f"{block[b]}; the step size is likely too large for "
+                                 "this problem"))
             if failures:
                 return s, min(failures)[2]
 
             thetas = new
-            avg_traj[:, s + 1] = avg
             states.append(thetas)
             grad_sums.append(grads.sum(axis=1))
 
-        # what no round reads, once per window on (B, w, ...) stacks of its
-        # rounds.  The states after rounds s with s + 1 > s_burn join the
-        # running sum: reducing along the leading axis adds them in round
-        # order, as a per-round += would
+        # what no round reads, once per window on a (B, w + 1, K, d) stack of
+        # the states entering its rounds and leaving its last.  Summing over
+        # K adds each state's devices in the order a per-round sum would
+        stack = np.stack(states, axis=1)
+        avg_traj[:, s0 + 1:s1 + 1] = stack[:, 1:].sum(axis=2) / K
+        # the states after rounds s with s + 1 > s_burn join the running sum:
+        # reducing along the leading axis adds them in round order, as a
+        # per-round += would
         kept = states[1 + max(0, config.s_burn - s0):]
         if kept:
             mean_acc = np.add.reduce([mean_acc, *kept], axis=0)
         # dispersion measured relative to particle 0 so bitwise-equal
-        # particles (the state right after an aggregation) give exactly 0
-        dev = np.stack(states[:-1], axis=1)
+        # particles (the state right after an aggregation) give exactly 0;
+        # in place, as nothing reads the stack after this
+        dev = stack[:, :-1]
         dev -= dev[:, :, :1]
         dev -= dev.sum(axis=2, keepdims=True) / K
         dev *= dev
@@ -699,7 +721,7 @@ def _advance(config: RunConfig, chan: ChannelConfig, groups, A_global, b_global,
                 - np.stack(grad_sums, axis=1))
         v_c[:, s0:s1] = np.einsum("bwd,bwd->bw", diff, diff)
         # drop this window before its slot goes back to the helper
-        del drawn, agg_by_round, batches, step_noise, states, grad_sums, kept, dev, diff
+        del drawn, agg_by_round, batches, step_noise, states, grad_sums, kept, stack, dev, diff
 
     out.device_mean[rows] = mean_acc / config.s_use
     out.theta_final[rows] = thetas

@@ -108,14 +108,17 @@ def test_huge_region_radius_in_a_sweep_exits_1_without_traceback(tmp_path, capsy
     """At the reference problem L is about 75, so a radius past about 1.8e152 overflows G^2.
 
     The run of each grid point measures its constants, so a sweep finds the
-    error after it made its output directory, but writes no results.
+    error after it made its output directory, and removes the directories it
+    made: here the output directory and its missing parent.
     """
-    out = tmp_path / "out"
+    out = tmp_path / "new" / "out"
     assert main(["sweep", "--set", "region_radius=1e200", "--output", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("configuration error: region_radius 1e+200 ") and err.count("\n") == 1
     assert "Traceback" not in err
     assert not (out / "results.csv").exists()
+    assert not out.exists() and not out.parent.exists()
+    assert tmp_path.is_dir()
 
 
 def test_huge_constant_gain_runs_without_a_warning(tmp_path, capsys):
@@ -232,6 +235,7 @@ def test_tiny_constant_gain_is_reported_as_the_gain(tmp_path, capsys):
 
 def test_killed_tape_helper_is_a_one_line_protocol_failure(tmp_path, capsys, monkeypatch):
     """The helper process that draws the tape is killed while the parent holds the second window."""
+    monkeypatch.setattr(protocol, "REPLICATE_BLOCK", 2)  # one block of 2: 2-round windows
     monkeypatch.setattr(protocol, "TAPE_WINDOW", 2)
     kill_helper_at(monkeypatch, 2)
     code = main(["run", *SMALL_ARGS, "--output", str(tmp_path / "x")])

@@ -270,7 +270,9 @@ def test_outputs_are_bitwise_invariant_under_block_and_window(monkeypatch, setti
     pairs = ((1, 1), (2, 5), (1000, 1000),
              (protocol.REPLICATE_BLOCK, protocol.TAPE_WINDOW),
              (2, cfg.s_total + 1),  # each block's one window is drawn during the last block
-             (4, 5))                # blocks of 2 and 3 replicates, windows cut at 10 and 12
+             (4, 5),                # blocks of 2 and 3 replicates, windows of 10 and 5 rounds
+             (10, 5))               # one thin block of 5: windows of 10 rounds, cut at 12,
+                                    # whose batch keys are drawn 5 rounds at a time
     for block, window in pairs:
         monkeypatch.setattr(protocol, "REPLICATE_BLOCK", block)
         monkeypatch.setattr(protocol, "TAPE_WINDOW", window)
@@ -293,7 +295,7 @@ def test_tape_window_stays_within_its_memory_budget():
     data = build_dataset(cfg)
     chan = cfg.channel()
     groups = protocol._build_groups(partition_even(data, cfg.k), cfg.k, cfg.p_b)
-    slots = protocol._Slots(cfg, chan, groups, protocol.REPLICATE_BLOCK)
+    slots = protocol._Slots(cfg, chan, groups, [protocol.REPLICATE_BLOCK])
     tape = protocol._Tape(cfg, chan, groups, 0, protocol.REPLICATE_BLOCK, force_final=False)
     drawn = slots.views(1, protocol.TAPE_WINDOW, protocol.REPLICATE_BLOCK)
     tape.fill(0, protocol.TAPE_WINDOW, drawn)
@@ -302,6 +304,62 @@ def test_tape_window_stays_within_its_memory_budget():
     assert sum(a.nbytes for a in drawn.values()) <= slots.size
     assert slots.size <= 1_362_176
     assert time.perf_counter() - start < 1.0
+
+
+def engine_config(cfg):
+    """The config ``run`` advances: SGLD runs as one device aggregating every round."""
+    if cfg.algorithm == "SGLD":
+        return dataclasses.replace(cfg, k=1, p_c=1.0, eta=cfg.eta / cfg.k)
+    return cfg
+
+
+def test_window_length_follows_the_block(monkeypatch):
+    """A thinner block gets fewer, longer windows, in slots no larger than a full block's.
+
+    At the reference problem the slot of a block of any size up to
+    REPLICATE_BLOCK is no larger than the full block's; the reference SGLD
+    chain (one replicate, 20,000 rounds) is handed over in 512-round
+    windows; and the helper draws the batch keys of such a window TAPE_WINDOW
+    rounds at a time, into the rows that one draw of the whole window gives.
+    """
+    data = build_dataset(RunConfig())
+    for settings in (dict(algorithm="WFALD", snr_db=10.0, gain_model="rayleigh"),
+                     dict(algorithm="FALD"), dict(algorithm="SGLD")):
+        cfg = engine_config(RunConfig(**settings))
+        chan = cfg.channel()
+        groups = protocol._build_groups(partition_even(data, cfg.k), cfg.k, cfg.p_b)
+        full = protocol._Slots(cfg, chan, groups, [protocol.REPLICATE_BLOCK]).size
+        for block in range(1, protocol.REPLICATE_BLOCK + 1):
+            assert protocol._Slots(cfg, chan, groups, [block]).size <= full, (settings, block)
+
+    chain = RunConfig(algorithm="SGLD", s_total=20_000, s_burn=1_000)
+    windows = protocol._Helper.windows
+    seen = []
+
+    def spy(helper, stop):
+        for replicates, (s0, s1, drawn) in windows(helper, stop):
+            seen.append((s0, s1))
+            yield replicates, (s0, s1, drawn)
+
+    monkeypatch.setattr(protocol._Helper, "windows", spy)
+    run(chain, data)
+    assert seen == [(s0, min(s0 + 512, chain.s_total)) for s0 in range(0, chain.s_total, 512)]
+
+    cfg = engine_config(chain)
+    chan = cfg.channel()
+    groups = protocol._build_groups(partition_even(data, cfg.k), cfg.k, cfg.p_b)
+    layout = protocol._layout(cfg, chan, groups)
+    argpartition, keys = np.argpartition, []
+    monkeypatch.setattr(np, "argpartition", lambda a, *args, **kw: keys.append(a.shape)
+                        or argpartition(a, *args, **kw))
+    rows = []
+    for window in (protocol.TAPE_WINDOW, 512):
+        monkeypatch.setattr(protocol, "TAPE_WINDOW", window)
+        drawn = {name: np.empty((512, 1, *shape), dtype) for name, (shape, dtype) in layout.items()}
+        protocol._Tape(cfg, chan, groups, 0, 1, force_final=False).fill(0, 512, drawn)
+        rows.append(drawn["batch0"])
+    assert keys[:32] == [(1, 16, cfg.n_samples)] * 32 and keys[32:] == [(1, 512, cfg.n_samples)]
+    assert np.array_equal(*rows)
 
 
 @pytest.mark.parametrize("settings", [dict(algorithm="WFALD", snr_db=None),
@@ -315,6 +373,7 @@ def test_run_result_shares_no_memory_with_the_window_slots(monkeypatch, settings
             buffers.append(np.frombuffer(self.buffer, dtype=np.uint8))
 
     monkeypatch.setattr(protocol, "_Slots", RecordedSlots)
+    monkeypatch.setattr(protocol, "REPLICATE_BLOCK", 3)  # one block of 3: 5-round windows
     monkeypatch.setattr(protocol, "TAPE_WINDOW", 5)
     cfg = small_config(**settings, replicates=3)
     res = run(cfg, build_dataset(cfg))
@@ -357,6 +416,7 @@ def test_no_child_outlives_run(monkeypatch, outcome):
     """
     cfg = small_config(algorithm="WFALD", p_c=1.0, gain_model="rayleigh", replicates=3)
     data = build_dataset(cfg)
+    monkeypatch.setattr(protocol, "REPLICATE_BLOCK", 3)  # one block of 3: 2-round windows
     monkeypatch.setattr(protocol, "TAPE_WINDOW", 2)
     if outcome == "protocol_error":
         monkeypatch.setattr(ChannelConfig, "draw_gains",
@@ -421,11 +481,26 @@ def test_snr_above_the_noise_cap_leaves_the_run_unchanged():
     assert not np.allclose(low.avg_traj, ref.avg_traj, rtol=1e-6, atol=0)
 
 
-def test_divergence_raises_protocol_error():
+def test_divergence_raises_protocol_error(monkeypatch):
+    """The failure names the round, device and replicate, whatever the window geometry.
+
+    Geometries: the default (here one window of all S rounds), one block with
+    a single S-round window set explicitly, and 2-round windows, where the
+    failure is found in the 50th window.
+    """
     cfg = small_config(eta=100.0, s_total=200, s_burn=10)
     data = build_dataset(cfg)
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ProtocolError, match="non-finite"):
-        run(cfg, data)
+    message = ("non-finite particle on device 2 at round 98 of replicate 0; "
+               "the step size is likely too large for this problem")
+    for geometry in (None, (1, cfg.s_total), (1, 2)):
+        with monkeypatch.context() as patch:
+            if geometry is not None:
+                patch.setattr(protocol, "REPLICATE_BLOCK", geometry[0])
+                patch.setattr(protocol, "TAPE_WINDOW", geometry[1])
+            with np.errstate(over="ignore", invalid="ignore"), \
+                    pytest.raises(ProtocolError) as raised:
+                run(cfg, data)
+        assert str(raised.value) == message, geometry
 
 
 class TestDriftDiagnostics:
