@@ -26,6 +26,7 @@ import dataclasses
 import functools
 import hashlib
 import io
+import itertools
 import json
 import os
 import sys
@@ -40,7 +41,7 @@ from .analysis import (BoundInputs, contraction_gamma, drift_bounds, empirical_g
                        gaussian_w2_squared, per_device_mse, predictive_error,
                        running_mse, w2_bound_sequence)
 from .model import Dataset, generate_synthetic
-from .protocol import ALGORITHMS, RunConfig, RunResult, run
+from .protocol import ALGORITHMS, RunConfig, RunResult, run, sequence
 from .rng import data_generator, test_data_generator
 
 
@@ -350,19 +351,35 @@ def summarize_run(result: RunResult, test_inputs=None, test_targets=None):
 def evaluate(config: RunConfig) -> tuple[RunResult, dict, dict[str, np.ndarray]]:
     """Run one configuration and summarize it: ``(result, summary, table)``, the table as columns.
 
-    The one path from a config to its summaries, for ``wfald run`` and every
-    sweep point.  The run's config records the coefficients its dataset was
-    drawn with.  The test sets follow ``config``, so SGLD, whose run has a
-    single device, is scored on the same K per-device sets as the others.
+    ``wfald run``'s path, a sweep of one point; see :func:`_evaluations`.
     """
-    data = build_dataset(config)
-    try:
-        result = run(dataclasses.replace(config, theta_star=data.theta_star), data)
-    except ValueError as exc:  # a region_radius the measured constants cannot take
-        raise ConfigurationError(str(exc)) from None
-    test_u, test_v = build_test_set(config, data.theta_star)
-    summary, table = summarize_run(result, test_u, test_v)
-    return result, summary, table
+    [evaluation] = _evaluations([config])
+    return evaluation
+
+
+def _evaluations(configs):
+    """Run ``configs`` in one sequence and yield ``(result, summary, table)`` of each in turn.
+
+    The one path from configs to their summaries, for ``wfald run`` and
+    every sweep worker.  The configs differ at most in what a sweep varies,
+    so they share one dataset and one test set, built once.  Each run's
+    config records the coefficients its dataset was drawn with.  The test
+    sets follow ``configs``, so SGLD, whose run has a single device, is
+    scored on the same K per-device sets as the others.
+    """
+    data = build_dataset(configs[0])
+    runs = [(dataclasses.replace(config, theta_star=data.theta_star), data) for config in configs]
+    test_set = None
+    with sequence(runs):
+        for config, _ in runs:
+            try:
+                result = run(config, data)
+            except ValueError as exc:  # a region_radius the measured constants cannot take
+                raise ConfigurationError(str(exc)) from None
+            if test_set is None:  # after the first run, as for one config
+                test_set = build_test_set(configs[0], data.theta_star)
+            yield result, *summarize_run(result, *test_set)
+            del result  # before the next run
 
 
 # ----------------------------------------------------------------- sweeps --- #
@@ -433,9 +450,11 @@ def sweep_points(spec: SweepSpec) -> list[tuple]:
     return points
 
 
-def _evaluate_point(args):
-    idx, config = args
-    return idx, evaluate(config)[1]
+def _evaluate_points(tasks) -> list[tuple[int, dict]]:
+    """(index, summary row) of each (index, config) task, the configs run in one sequence."""
+    indices, configs = zip(*tasks)
+    summaries = [summary for _, summary, _ in _evaluations(configs)]
+    return list(zip(indices, summaries))
 
 
 def run_sweep(spec: SweepSpec, output_dir: str, workers: int = 1) -> list[dict]:
@@ -443,8 +462,9 @@ def run_sweep(spec: SweepSpec, output_dir: str, workers: int = 1) -> list[dict]:
 
     Output is independent of ``workers``: rows are keyed by grid index and
     emitted in canonical order, and all randomness is derived from the seed
-    scheme rather than execution order.  A grid point that raises leaves
-    none of the directories this call made.
+    scheme rather than execution order.  Worker w runs grid points w,
+    w + workers, ... in one sequence of runs, so it forks one tape helper.
+    A grid point that raises leaves none of the directories this call made.
     """
     spec.validate()
     if workers < 1:
@@ -458,12 +478,13 @@ def run_sweep(spec: SweepSpec, output_dir: str, workers: int = 1) -> list[dict]:
         path = os.path.dirname(path)
     os.makedirs(output_dir, exist_ok=True)
     tasks = [(i, config) for i, (_, config) in enumerate(spec.grid)]
+    shares = [tasks[w::workers] for w in range(min(workers, len(tasks)))]
     try:
-        if workers == 1:
-            results = dict(map(_evaluate_point, tasks))
+        if len(shares) == 1:
+            results = dict(_evaluate_points(tasks))
         else:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = dict(pool.map(_evaluate_point, tasks))
+            with ProcessPoolExecutor(max_workers=len(shares)) as pool:
+                results = dict(itertools.chain.from_iterable(pool.map(_evaluate_points, shares)))
     except BaseException:
         for path in made:
             with contextlib.suppress(OSError):

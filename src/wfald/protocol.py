@@ -41,28 +41,40 @@ block and pays each round's numpy calls once.  To keep that block's memory
 small, a window's mini-batch rows are stored in the narrowest signed integer
 type that indexes their sample table (16-bit at the reference problem).
 
-Processes.  :func:`run` forks one helper process (``os.fork``, so POSIX
-only) and kills and reaps it before it returns or raises, so no child
-outlives a run.  The helper is the one reader of the random streams: per
-block it derives them with :func:`wfald.rng.run_streams`, draws the flags
-and reads the batch keys (taking their ``argpartition``), the Langevin
-noise, the fading gains, the receiver noise and the restore block.  The
-parent derives no stream; it takes the flags and gains from the window
-slots, marks the near-zero gains and runs the recurrence.  The helper draws
-one window ahead, the next block's first after a block's last, into one of
-two slots of an anonymous shared mapping made before the fork, so its draws
-overlap the recurrence without sharing an interpreter lock with it.  Two
-pipes hand the slots over: the helper names each slot it has filled, and
-the parent hands a slot back, with the current failure round, once it is
-done with that window's drift statistics, so no view of a slot outlives its
-window.  Windows are consumed in round order, so the draws are those of a
-serial run.  A patch made before :func:`run` (of ``draw_gains``, say)
-reaches the helper through the fork, but a profiler in the parent sees no
-call of ``run_streams`` or ``draw_gains``.  The parent's ``np.errstate``
-governs the arithmetic that can overflow, except the residual noise power,
-whose overflow the engine reports as a failure naming the channel gain.  An
-exception in the helper reaches the caller with its type and message; a
-helper that dies is a :class:`ProtocolError`.
+Processes.  One helper process (``os.fork``, so POSIX only) draws the tapes
+of a :func:`sequence` of runs, back to back: a sweep worker runs its grid
+points as one sequence, and a :func:`run` outside one is a sequence of one.
+The helper is forked in the sequence's first run, and killed and reaped
+after its last run or when the sequence ends, however it ends, so no child
+outlives a sequence.
+The helper is the one reader of the random streams: per run it builds the
+device groups, and per block it derives the streams with
+:func:`wfald.rng.run_streams`, draws the flags and reads the batch keys
+(taking their ``argpartition``), the Langevin noise, the fading gains, the
+receiver noise and the restore block.  The parent derives no stream; it
+takes the flags and gains from the window slots, marks the near-zero gains
+and runs the recurrence.  The helper draws one window ahead, the next
+block's first after a block's last and the next run's first after a run's
+last, into one of two slots of an anonymous shared mapping made before the
+fork, so its draws overlap the recurrence, and a run's set-up and summaries,
+without sharing an interpreter lock with them.  The slots are sized for the
+sequence's largest run, and every run lays its window out from the start of
+a slot, so they take the memory of the largest run, however many runs
+there are.  Two pipes hand the slots over: the helper names each slot it
+has filled with its run, block and rounds, and the parent hands a slot
+back, with its run's current failure round, once it is done with that
+window's drift statistics, so no view of a slot outlives its window.  The
+failure round applies to that run only, so a run that fails, or that its
+caller gives up on, leaves the next run's tape intact.  Windows are consumed
+in round order, so the draws are those of a serial run.  A patch made
+before a sequence's first run (of ``draw_gains``, say) reaches the helper
+through the fork, but a profiler in the parent sees no call of
+``run_streams`` or ``draw_gains``.  The parent's ``np.errstate`` governs
+the arithmetic that can overflow, except a wireless round's power control,
+residual noise power and transmit power, whose overflow the engine reports
+as a failure of the round.  An exception in the helper reaches the caller
+at the run it was drawing, with its type and message; a helper that dies
+is a :class:`ProtocolError`.
 
 Set-up.  :func:`run` forms the exact posterior once, and its result carries
 it to the summaries.  Full-batch gradients use the device Hessians of
@@ -73,7 +85,8 @@ any size yields exactly the values per-round draws yield (pinned by
 ``tests/test_rng.py``), and every replicate's arithmetic is the same
 element-wise sequence whatever block it sits in.
 Outputs are therefore bitwise independent of ``REPLICATE_BLOCK`` and
-``TAPE_WINDOW``; both are memory/speed constants, not settings.  A
+``TAPE_WINDOW``, both memory/speed constants, not settings, and of the runs
+a sequence draws before or after a run.  A
 ``ProtocolError`` names the earliest failing round and, within it, the
 lowest failing replicate.
 
@@ -88,7 +101,6 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import functools
 import itertools
 import math
 import mmap
@@ -266,31 +278,37 @@ class RunResult:
 class _DeviceGroup:
     """Devices with equal shard size, stacked for vectorized gradient math."""
 
-    devices: slice               # a contiguous range of device indices
+    devices: slice                     # a contiguous range of device indices
     n: int
     m: int
-    samples: np.ndarray | None   # (g * n, d + 1): rows [u_i, v_i], device-major; None at full batch
-    hessian: np.ndarray          # (g, d, d): U_k U_k^T + I/K, full-batch fast path
-    lin: np.ndarray              # (g, d): U_k v_k
+    # (g * n, d + 1): rows [u_i, v_i], device-major; None at full batch
+    samples: np.ndarray | None = None
+    hessian: np.ndarray | None = None  # (g, d, d): U_k U_k^T + I/K, full-batch fast path
+    lin: np.ndarray | None = None      # (g, d): U_k v_k
+
+
+def _group_shapes(n_samples: int, k: int, p_b: float) -> list[_DeviceGroup]:
+    """The groups of equal shards :func:`partition_even` cuts, smallest first, without arrays.
+
+    It gives the first n mod K devices one sample more, so the devices of
+    one shard size form a contiguous range.
+    """
+    base, extra = divmod(n_samples, k)
+    return [_DeviceGroup(devices=devices, n=n, m=batch_size(p_b, n))
+            for devices, n in ((slice(extra, k), base), (slice(0, extra), base + 1))
+            if devices.start < devices.stop]
 
 
 def _build_groups(shards, k_total: int, p_b: float) -> list[_DeviceGroup]:
-    by_size: dict[int, list[int]] = {}
-    for shard in shards:
-        by_size.setdefault(shard.size, []).append(shard.owner)
-    groups = []
-    for n, members in sorted(by_size.items()):
-        # partition_even gives the larger shards to the first devices, so the
-        # devices of one shard size form a contiguous range
-        hess, lin = map(np.stack, zip(*(normal_equations(shards[k], k_total) for k in members)))
-        m = batch_size(p_b, n)
-        samples = None
-        if m < n:
+    groups = _group_shapes(sum(s.size for s in shards), len(shards), p_b)
+    for g in groups:
+        members = shards[g.devices]
+        assert all(shard.size == g.n for shard in members)
+        g.hessian, g.lin = map(np.stack, zip(*(normal_equations(s, k_total) for s in members)))
+        if g.m < g.n:
             # in C order, so that the rows a batch takes are contiguous
-            samples = np.ascontiguousarray(np.concatenate(
-                [np.column_stack([shards[k].covariates.T, shards[k].targets]) for k in members]))
-        groups.append(_DeviceGroup(devices=slice(members[0], members[-1] + 1), n=n, m=m,
-                                   samples=samples, hessian=hess, lin=lin))
+            g.samples = np.ascontiguousarray(np.concatenate(
+                [np.column_stack([s.covariates.T, s.targets]) for s in members]))
     return groups
 
 
@@ -382,7 +400,8 @@ def _layout(config: RunConfig, chan: ChannelConfig, groups) -> dict:
     """A window slot's arrays, in slot order: name -> (per-replicate shape, dtype).
 
     A window of w rounds and B replicates holds each as a (w, B, *shape)
-    array; an array the algorithm does not draw is left out.
+    array; an array the algorithm does not draw is left out.  Only the
+    shapes of ``groups`` are read, so those of :func:`_group_shapes` do.
 
     * ``flags`` () whether the round aggregates;
     * ``batch<j>`` (g, m) rows of group j's sample table picked by the
@@ -398,11 +417,11 @@ def _layout(config: RunConfig, chan: ChannelConfig, groups) -> dict:
     """
     layout = {"flags": ((), np.dtype(bool))}
     for j, g in enumerate(groups):
-        if g.samples is not None:
+        if g.m < g.n:
             # the narrowest signed type that holds every row of the table; a
             # row that overflowed it would wrap negative, which take() accepts
-            layout[f"batch{j}"] = ((g.devices.stop - g.devices.start, g.m),
-                                   np.min_scalar_type(-len(g.samples)))
+            size = g.devices.stop - g.devices.start
+            layout[f"batch{j}"] = ((size, g.m), np.min_scalar_type(-size * g.n))
     f8 = np.dtype(np.float64)
     if config.algorithm != "WFedAvg":
         layout["step_noise"] = ((config.k, config.dim), f8)
@@ -414,146 +433,221 @@ def _layout(config: RunConfig, chan: ChannelConfig, groups) -> dict:
     return layout
 
 
-class _Slots:
-    """Two window slots in one anonymous shared mapping, made before the fork.
+def _edges(replicates: int) -> list[int]:
+    """Bounds of the balanced blocks of at most ``REPLICATE_BLOCK`` replicates."""
+    n_blocks = -(-replicates // REPLICATE_BLOCK)
+    return [replicates * j // n_blocks for j in range(n_blocks + 1)]
 
-    A block of B replicates gets windows of ``rounds(B)`` rounds, so a thin
-    block hands fewer, longer windows over, and a slot holds the arrays of
-    :func:`_layout` for the largest window of any of the run's ``blocks``
-    sizes.  That is never more than ``TAPE_WINDOW`` rounds of
-    ``REPLICATE_BLOCK`` replicates.  ``views(slot, w, B)`` lays the arrays of
-    a window of w rounds and B replicates over the start of their regions,
-    C-contiguous, and returns them by name.
+
+def _window_rounds(s_total: int, B: int) -> int:
+    """Rounds in each window of a block of B replicates (its last may be shorter)."""
+    return min(s_total, TAPE_WINDOW * (REPLICATE_BLOCK // B))
+
+
+def _arrange(config: RunConfig, chan: ChannelConfig, groups, blocks) -> tuple[dict, dict, int]:
+    """(layout, offsets, size) of a run's window slot, for the largest window of its ``blocks``.
+
+    Each array of :func:`_layout` starts at its offset, a multiple of 64
+    bytes, and ``size`` is the bytes they take.  That is never more than
+    ``TAPE_WINDOW`` rounds of ``REPLICATE_BLOCK`` replicates.
+    """
+    layout = _layout(config, chan, groups)
+    cells = max(_window_rounds(config.s_total, B) * B for B in blocks)
+    offsets, size = {}, 0
+    for name, (shape, dtype) in layout.items():
+        offsets[name] = size
+        size += -(-cells * math.prod(shape) * dtype.itemsize // 64) * 64
+    return layout, offsets, int(size)
+
+
+class _Slots:
+    """One run's view of two window slots in an anonymous shared mapping.
+
+    A block of B replicates gets windows of ``_window_rounds(S, B)`` rounds,
+    so a thin block hands fewer, longer windows over; the run lays out the
+    arrays of :func:`_arrange` from the start of each slot.  ``views(slot, w, B)``
+    lays the arrays of a window of w rounds and B replicates over the start
+    of their regions, C-contiguous, and returns them by name.  Without a
+    ``buffer`` the run gets a mapping of two slots of its own ``size``; the
+    runs of a sequence share one, made before the fork with slots as large
+    as its largest run's.
     """
 
-    def __init__(self, config: RunConfig, chan: ChannelConfig, groups, blocks):
-        self.layout = _layout(config, chan, groups)
-        self.s_total = config.s_total
-        cells = max(self.rounds(B) * B for B in blocks)
-        self.offsets, size = {}, 0
-        for name, (shape, dtype) in self.layout.items():
-            self.offsets[name] = size
-            size += -(-cells * math.prod(shape) * dtype.itemsize // 64) * 64
-        self.size = int(size)
-        self.buffer = mmap.mmap(-1, 2 * self.size)
-
-    def rounds(self, B: int) -> int:
-        """Rounds in each window of a block of B replicates (its last may be shorter)."""
-        return min(self.s_total, TAPE_WINDOW * (REPLICATE_BLOCK // B))
+    def __init__(self, config: RunConfig, chan: ChannelConfig, groups, blocks, buffer=None):
+        self.layout, self.offsets, self.size = _arrange(config, chan, groups, blocks)
+        self.buffer = mmap.mmap(-1, 2 * self.size) if buffer is None else buffer
 
     def views(self, slot: int, w: int, B: int) -> dict:
-        return {name: np.ndarray((w, B, *shape), dtype, self.buffer,
-                                 slot * self.size + self.offsets[name])
+        start = slot * (len(self.buffer) // 2)
+        return {name: np.ndarray((w, B, *shape), dtype, self.buffer, start + self.offsets[name])
                 for name, (shape, dtype) in self.layout.items()}
 
 
-class _Helper:
-    """The helper process that draws a run's tape, seen from the parent.
+def _force_final(config: RunConfig) -> bool:
+    """Whether the last round aggregates whatever its flag: by default for WFedAvg only."""
+    if config.force_final_agg is None:
+        return config.algorithm == "WFedAvg"
+    return config.force_final_agg
 
-    The helper sends (slot, block, s0, s1) per filled window, then None, or
-    the exception it raised; the parent sends back (slot, stop).  A context
-    manager: on exit the parent closes its pipe ends, then kills and reaps
-    the helper, whatever state it is in.
+
+def _blocks(edges) -> set:
+    """The sizes of the blocks between ``edges``."""
+    return set(np.diff(edges).tolist())
+
+
+class _Helper:
+    """The helper process that draws the tapes of a :func:`sequence` of runs, seen from the parent.
+
+    ``runs`` holds each run's config and dataset, in order.  ``take`` hands
+    out the runs in that order, and the first checks every config against
+    its dataset, then forks the helper, which builds each run's device
+    groups and tapes itself and draws the runs back to back.  It sends
+    (run, slot, block, s0, s1) per filled window and (run,) after a run's
+    last, or the exception it raised; the parent sends back (slot, stop),
+    which the helper applies to the run whose window the slot held, if it
+    is still drawing it.  ``close`` closes the parent's pipe ends, kills
+    and reaps the helper, whatever state it is in, and lets the mapping go;
+    the last run calls it, so the slots do not outlive that run.
     """
 
-    def __init__(self, config: RunConfig, chan: ChannelConfig, groups, edges, force_final: bool):
-        self.new_tape = functools.partial(_Tape, config, chan, groups, force_final=force_final)
-        self.edges = edges
-        self.slots = _Slots(config, chan, groups, set(np.diff(edges).tolist()))
-        self.ready, ready = Pipe(duplex=False)
-        free, self.free = Pipe(duplex=False)
+    def __init__(self, runs):
+        self.runs = [(config, data) for config, data in runs]
+        self.engines = None
+        self.next, self.pid, self.lost, self.ready, self.free = 0, None, None, None, None
+        self.buffer = None
+
+    def take(self, config: RunConfig, data: Dataset) -> tuple[int, RunConfig]:
+        """(index, engine config) of the run ``(config, data)``, which must come next."""
+        index = self.next
+        if index == len(self.runs) or self.runs[index][0] is not config \
+                or self.runs[index][1] is not data:
+            raise RuntimeError(f"run {index} of a sequence of {len(self.runs)} was called with "
+                               "another config or dataset than the sequence holds")
+        self.next += 1
+        if self.ready is None:
+            self._fork()
+        return index, self.engines[index][0]
+
+    def _fork(self):
+        self.engines = [(_engine_config(config, data), data) for config, data in self.runs]
+        # slots as large as the largest run's, worked out from the configs alone
+        size = max(_arrange(config, config.channel(),
+                            _group_shapes(config.n_samples, config.k, config.p_b),
+                            _blocks(_edges(config.replicates)))[2] for config, _ in self.engines)
+        self.buffer = mmap.mmap(-1, 2 * size)
+        ready_out, ready_in = Pipe(duplex=False)
+        free_out, free_in = Pipe(duplex=False)
         try:
-            self.pid = os.fork()
+            pid = os.fork()
         except OSError:
-            for conn in (self.ready, ready, free, self.free):
+            for conn in (ready_out, ready_in, free_out, free_in):
                 conn.close()
             raise
-        if self.pid == 0:
+        if pid == 0:
             status = 1
             try:
-                self.ready.close()
-                self.free.close()
-                self._draw(config.s_total, ready, free)
+                ready_out.close()
+                free_in.close()
+                self._draw(ready_in, free_out)
                 status = 0
             except BaseException as exc:  # noqa: BLE001  (handed to the parent)
                 # one that does not pickle leaves the parent a helper that died
                 with contextlib.suppress(BaseException):
-                    ready.send(exc)
+                    ready_in.send(exc)
             finally:
                 # a forked child never returns into its parent's stack
                 os._exit(status)
-        ready.close()
-        free.close()
+        ready_in.close()
+        free_out.close()
+        self.pid, self.ready, self.free = pid, ready_out, free_in
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self.ready.close()
-        self.free.close()
+    def close(self):
+        for conn in (self.ready, self.free):
+            if conn is not None:
+                conn.close()
         if self.pid is not None:
             os.kill(self.pid, signal.SIGKILL)
             os.waitpid(self.pid, 0)
+            self.pid = None
+        # the mapping goes with the last view of it
+        self.buffer = None
 
-    def _draw(self, stop: int, ready, free) -> None:
-        """The helper's loop: fill each block's windows into idle slots, in round order.
+    def _draw(self, ready, free) -> None:
+        """The helper's loop: fill each run's windows into idle slots, in round order.
 
         It learns the parent's failure round only when it waits for a slot,
         so it may draw windows past it, which the parent drops.  A parent
         that has died closes the pipes: the helper reads EOF or gets EPIPE.
         """
-        idle = [1, 0]
-        for j, (first, end) in enumerate(zip(self.edges[:-1], self.edges[1:])):
-            tape, s0, rounds = None, 0, self.slots.rounds(end - first)
-            while True:
-                if not idle:
-                    slot, stop = free.recv()
-                    idle.append(slot)
-                if s0 >= stop:
-                    break
-                tape = tape or self.new_tape(first, end - first)
-                s1 = min(stop, s0 + rounds)
-                slot = idle.pop()
-                tape.fill(s0, s1, self.slots.views(slot, s1 - s0, end - first))
-                ready.send((slot, j, s0, s1))
-                s0 = s1
-        ready.send(None)
+        idle, owner = [1, 0], [None, None]
+        for r, (config, data) in enumerate(self.engines):
+            chan, edges, stop = config.channel(), _edges(config.replicates), config.s_total
+            groups = _build_groups(partition_even(data, config.k), config.k, config.p_b)
+            slots = _Slots(config, chan, groups, _blocks(edges), self.buffer)
+            for j, (first, end) in enumerate(zip(edges[:-1], edges[1:])):
+                tape, s0, rounds = None, 0, _window_rounds(config.s_total, end - first)
+                while True:
+                    if not idle:
+                        slot, returned = free.recv()
+                        idle.append(slot)
+                        if owner[slot] == r:
+                            stop = returned
+                    if s0 >= stop:
+                        break
+                    tape = tape or _Tape(config, chan, groups, first, end - first,
+                                         _force_final(config))
+                    s1 = min(stop, s0 + rounds)
+                    slot = idle.pop()
+                    owner[slot] = r
+                    tape.fill(s0, s1, slots.views(slot, s1 - s0, end - first))
+                    ready.send((r, slot, j, s0, s1))
+                    s0 = s1
+            ready.send((r,))
 
-    def windows(self, stop):
-        """Yield (replicates, (s0, s1, drawn)) over each block's rounds [0, stop()).
+    def windows(self, run: int, slots: _Slots, edges, stop):
+        """Yield (replicates, (s0, s1, drawn)) over each block of run ``run``'s rounds [0, stop()).
 
         Windows come in round order; ``drawn`` holds the :func:`_layout`
         arrays of rounds [s0, s1) of the block ``replicates``.  A failure
         found in a window lowers ``stop()``; a window the helper drew from
         rounds past it is dropped, and one that only reaches past it is cut
         by the caller.  A window's slot goes back to the helper when the
-        caller asks for the next window, that is, once it is done with it.
+        caller asks for the next window, that is, once it is done with it,
+        or when the caller closes the generator.  What is left of an earlier
+        run that its caller gave up on is dropped on the way, its slots sent
+        back with a stop of 0.
         """
         while True:
             try:
                 message = self.ready.recv()
             except Exception:  # noqa: BLE001  (EOF, or cut short by the helper's death)
                 self._lost()
-            if message is None:
-                return
             if isinstance(message, BaseException):
                 raise message
-            slot, j, s0, s1 = message
-            if s0 < stop():
-                first, end = self.edges[j], self.edges[j + 1]
-                yield range(first, end), (s0, s1, self.slots.views(slot, s1 - s0, end - first))
-            # a helper that has died is found at the next read
-            with contextlib.suppress(BrokenPipeError):
-                self.free.send((slot, stop()))
+            r, *window = message
+            if not window:
+                if r == run:
+                    return
+                continue
+            slot, j, s0, s1 = window
+            try:
+                if r == run and s0 < stop():
+                    first, end = edges[j], edges[j + 1]
+                    yield range(first, end), (s0, s1, slots.views(slot, s1 - s0, end - first))
+            finally:
+                # a helper that has died is found at the next read
+                with contextlib.suppress(BrokenPipeError):
+                    self.free.send((slot, stop() if r == run else 0))
 
     def _lost(self):
-        os.kill(self.pid, signal.SIGKILL)
-        _, status = os.waitpid(self.pid, 0)
-        pid, self.pid = self.pid, None
-        code = os.waitstatus_to_exitcode(status)
-        how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
-        raise ProtocolError(f"the tape helper process {pid} ended before the tape was "
-                            f"drawn ({how})")
+        if self.lost is None:
+            os.kill(self.pid, signal.SIGKILL)
+            _, status = os.waitpid(self.pid, 0)
+            pid, self.pid = self.pid, None
+            code = os.waitstatus_to_exitcode(status)
+            how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+            self.lost = f"the tape helper process {pid} ended before the tape was drawn ({how})"
+        raise ProtocolError(self.lost)
 
 
 def _over_the_air(config: RunConfig, chan: ChannelConfig, drawn: dict, i: int, s: int,
@@ -576,34 +670,36 @@ def _over_the_air(config: RunConfig, chan: ChannelConfig, drawn: dict, i: int, s
         failures.append((reps[b], 0, f"near-zero channel gain {gains[b, k]:.3e} on device {k} "
                          f"at round {s} of replicate {reps[b]}; "
                          "inversion power control would explode"))
-    if config.algorithm == "WFALD":
-        alpha = power_gain(payloads, gains, power, chan.noise_level, eta, K)
-    else:
-        alpha = inversion_power_gain(payloads, gains, power)
-    collapsed = ~(alpha > 0)
-    if collapsed.any():
-        # a payload norm overflowed, so no positive gain keeps it in budget
-        b = int(np.argmax(collapsed))
-        k = int(np.argmax(np.linalg.norm(payloads[b], axis=-1)))
-        failures.append((reps[b], 1, f"common gain collapsed to {alpha[b]:.3g} by device {k} "
-                         f"at round {s} of replicate {reps[b]}; the step size is likely "
-                         "too large for this problem"))
-        alpha = np.where(collapsed, 1.0, alpha)
-    # the receiver scales its noise by 1/(K alpha), so a tiny gain can push
-    # the residual noise power past the float range
+    # a payload norm, a noise rescale or a signal that overflows fails the
+    # round, and the failure says so in one line, so numpy need not warn
     with np.errstate(divide="ignore", over="ignore"):
+        if config.algorithm == "WFALD":
+            alpha = power_gain(payloads, gains, power, chan.noise_level, eta, K)
+        else:
+            alpha = inversion_power_gain(payloads, gains, power)
+        collapsed = ~(alpha > 0)
+        if collapsed.any():
+            # a payload norm overflowed, so no positive gain keeps it in budget
+            b = int(np.argmax(collapsed))
+            k = int(np.argmax(np.linalg.norm(payloads[b], axis=-1)))
+            failures.append((reps[b], 1, f"common gain collapsed to {alpha[b]:.3g} by device {k} "
+                             f"at round {s} of replicate {reps[b]}; the step size is likely "
+                             "too large for this problem"))
+            alpha = np.where(collapsed, 1.0, alpha)
+        # the receiver scales its noise by 1/(K alpha), so a tiny gain can push
+        # the residual noise power past the float range
         beta = residual_noise_power(alpha, chan.noise_level, eta, K)
-    overflowed = beta.max() == np.inf
-    if overflowed:
-        unbounded = np.isinf(beta)
-        b = int(np.argmax(unbounded))
-        k = int(np.argmin(gains[b]))
-        failures.append((reps[b], 2, f"common gain {alpha[b]:.3g} at round {s} of replicate "
-                         f"{reps[b]} overflows the receiver's rescaled noise power; the "
-                         f"round's smallest channel gain |h_k| is {gains[b, k]:.3e} "
-                         f"(device {k})"))
-    signals = (alpha[:, None] / gains)[..., None] * payloads
-    sq = np.sum(signals * signals, axis=2)
+        overflowed = beta.max() == np.inf
+        if overflowed:
+            unbounded = np.isinf(beta)
+            b = int(np.argmax(unbounded))
+            k = int(np.argmin(gains[b]))
+            failures.append((reps[b], 2, f"common gain {alpha[b]:.3g} at round {s} of replicate "
+                             f"{reps[b]} overflows the receiver's rescaled noise power; the "
+                             f"round's smallest channel gain |h_k| is {gains[b, k]:.3e} "
+                             f"(device {k})"))
+        signals = (alpha[:, None] / gains)[..., None] * payloads
+        sq = np.sum(signals * signals, axis=2)
     ok = check_power(sq, power)
     if not ok.all():
         b = int(np.argmin(ok.all(axis=1)))
@@ -668,6 +764,8 @@ def _advance(config: RunConfig, chan: ChannelConfig, groups, A_global, b_global,
                     Ub = picked[..., :d]
                     resid = np.einsum("bgmd,bgd->bgm", Ub, th) - picked[..., d]
                     gr = np.einsum("bgmd,bgm->bgd", Ub, resid) / p_b + th / K
+                    # or the next round's batch is taken while this one is held
+                    del picked, Ub
                 if single:
                     grads = gr
                 else:
@@ -699,21 +797,22 @@ def _advance(config: RunConfig, chan: ChannelConfig, groups, A_global, b_global,
             grad_sums.append(grads.sum(axis=1))
 
         # what no round reads, once per window on a (B, w + 1, K, d) stack of
-        # the states entering its rounds and leaving its last.  Summing over
-        # K adds each state's devices in the order a per-round sum would
+        # the states entering its rounds and leaving its last, which replaces
+        # them.  Summing over K adds each state's devices in the order a
+        # per-round sum would
         stack = np.stack(states, axis=1)
+        del states
         avg_traj[:, s0 + 1:s1 + 1] = stack[:, 1:].sum(axis=2) / K
-        # the states after rounds s with s + 1 > s_burn join the running sum:
-        # reducing along the leading axis adds them in round order, as a
-        # per-round += would
-        kept = states[1 + max(0, config.s_burn - s0):]
-        if kept:
-            mean_acc = np.add.reduce([mean_acc, *kept], axis=0)
+        # the states after rounds s with s + 1 > s_burn join the running sum,
+        # in round order
+        for i in range(1 + max(0, config.s_burn - s0), s1 - s0 + 1):
+            mean_acc += stack[:, i]
         # dispersion measured relative to particle 0 so bitwise-equal
         # particles (the state right after an aggregation) give exactly 0;
-        # in place, as nothing reads the stack after this
+        # in place, as nothing reads the stack after this.  Particle 0 is
+        # copied out first, or numpy would copy the whole overlapping stack
         dev = stack[:, :-1]
-        dev -= dev[:, :, :1]
+        dev -= dev[:, :, :1].copy()
         dev -= dev.sum(axis=2, keepdims=True) / K
         dev *= dev
         v_theta[:, s0:s1] = dev.sum(axis=3).sum(axis=2) / K
@@ -721,11 +820,52 @@ def _advance(config: RunConfig, chan: ChannelConfig, groups, A_global, b_global,
                 - np.stack(grad_sums, axis=1))
         v_c[:, s0:s1] = np.einsum("bwd,bwd->bw", diff, diff)
         # drop this window before its slot goes back to the helper
-        del drawn, agg_by_round, batches, step_noise, states, grad_sums, kept, stack, dev, diff
+        del drawn, agg_by_round, batches, step_noise, grad_sums, stack, dev, diff
 
     out.device_mean[rows] = mean_acc / config.s_use
     out.theta_final[rows] = thetas
     return None
+
+
+def _engine_config(config: RunConfig, data: Dataset) -> RunConfig:
+    """The config the engine advances, checked against its dataset (see :func:`run`)."""
+    config.validate()
+    if config.algorithm == "SGLD":
+        config = dataclasses.replace(config, k=1, p_c=1.0, eta=config.eta / config.k)
+    if data.dim != config.dim:
+        raise ValueError(f"dataset dimension {data.dim} != config dim {config.dim}")
+    if data.size != config.n_samples:
+        raise ValueError(f"dataset size {data.size} != config n_samples {config.n_samples}")
+    return config
+
+
+#: the helper of the sequence the next run belongs to: run's (config, data)
+#: signature is what callers and the benchmark's meter use, so it cannot be
+#: passed
+_active: _Helper | None = None
+
+
+@contextlib.contextmanager
+def sequence(runs):
+    """Run ``runs``, a list of (config, data), in this order, on one tape helper.
+
+    Inside the block, :func:`run` must be called with each pair in turn,
+    the very objects listed; a call with another raises ``RuntimeError``.
+    The helper process is forked in the first call and draws the runs'
+    tapes back to back, so it starts on a run while the caller is still on
+    the one before.  It is killed and reaped when the block ends, however
+    it ends.  Every config is validated against its dataset in the first
+    call, before the fork.
+    """
+    global _active
+    if _active is not None:
+        raise RuntimeError("sequences of runs do not nest")
+    _active = _Helper(runs)
+    try:
+        yield
+    finally:
+        helper, _active = _active, None
+        helper.close()
 
 
 def run(config: RunConfig, data: Dataset) -> RunResult:
@@ -740,15 +880,19 @@ def run(config: RunConfig, data: Dataset) -> RunResult:
     sqrt(2 eta / K) per round, so this is the centralized chain their round
     clock corresponds to.  Pass ``k = 1`` for a standalone chain at the
     literal step size.  The returned config records the step actually taken.
-    """
-    config.validate()
-    if config.algorithm == "SGLD":
-        config = dataclasses.replace(config, k=1, p_c=1.0, eta=config.eta / config.k)
-    if data.dim != config.dim:
-        raise ValueError(f"dataset dimension {data.dim} != config dim {config.dim}")
-    if data.size != config.n_samples:
-        raise ValueError(f"dataset size {data.size} != config n_samples {config.n_samples}")
 
+    Inside a :func:`sequence` the run is the sequence's next; outside one
+    it is a sequence of one run.
+    """
+    if _active is not None:
+        return _run(config, data)
+    with sequence([(config, data)]):
+        return _run(config, data)
+
+
+def _run(config: RunConfig, data: Dataset) -> RunResult:
+    helper = _active
+    index, config = helper.take(config, data)
     shards = partition_even(data, config.k)
     groups = _build_groups(shards, config.k, config.p_b)
     # the global cost's gradient A theta - b, the target of V_c
@@ -762,9 +906,6 @@ def run(config: RunConfig, data: Dataset) -> RunResult:
     constants = measure_constants(shards, config.k, posterior.mean, radius, config.p_b)
 
     R, S, K, d = config.replicates, config.s_total, config.k, config.dim
-    force_final = config.force_final_agg
-    if force_final is None:
-        force_final = config.algorithm == "WFedAvg"
     result = RunResult(
         config=config, posterior=posterior, constants=constants,
         flags=np.empty((R, S), dtype=bool),
@@ -776,22 +917,23 @@ def run(config: RunConfig, data: Dataset) -> RunResult:
         beta=np.full((R, S), np.nan),
         alpha=np.full((R, S), np.nan),
         power_use=np.full((R, S), np.nan),
-        final_agg_forced=force_final,
+        final_agg_forced=_force_final(config),
     )
 
     # balanced blocks; a failure found in one block limits later blocks to
     # earlier rounds, since their replicates rank after it within a round
-    n_blocks = -(-R // REPLICATE_BLOCK)
-    edges = [R * j // n_blocks for j in range(n_blocks + 1)]
+    edges = _edges(R)
+    slots = _Slots(config, chan, groups, _blocks(edges), helper.buffer)
     failure, stop = None, S
-    with _Helper(config, chan, groups, edges, force_final) as helper:
-        windows = helper.windows(lambda: stop)
+    with contextlib.closing(helper.windows(index, slots, edges, lambda: stop)) as windows:
         for replicates, block in itertools.groupby(windows, key=operator.itemgetter(0)):
             # map, unlike a generator expression, keeps no window while it waits
             found = _advance(config, chan, groups, A_global, b_global, replicates,
                              map(operator.itemgetter(1), block), stop, result)
             if found is not None:
                 stop, failure = found
+    if index == len(helper.runs) - 1:
+        helper.close()  # nothing is left to draw, so the slots need not outlive the run
     if failure is not None:
         raise ProtocolError(failure)
     return result

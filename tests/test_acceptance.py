@@ -24,7 +24,7 @@ from wfald.analysis import (
 )
 from wfald.harness import SweepSpec, build_dataset, build_run_config, build_test_set, run_sweep
 from wfald.model import Dataset, exact_posterior
-from wfald.protocol import RunConfig, run
+from wfald.protocol import RunConfig, run, sequence
 
 
 @pytest.fixture(scope="module")
@@ -48,12 +48,11 @@ def trend_config(base, **kw):
 
 
 def mse_curve(cfg, grid, axis, data, posterior_mean):
-    out = []
-    for value in grid:
-        point = dataclasses.replace(cfg, **{axis: value})
-        result = run(point, data)
-        out.append(float(per_device_mse(result.device_mean, posterior_mean).mean()))
-    return out
+    """Posterior-mean MSE at each grid value, the points run in one sequence."""
+    points = [dataclasses.replace(cfg, **{axis: value}) for value in grid]
+    with sequence([(point, data) for point in points]):
+        return [float(per_device_mse(run(point, data).device_mean, posterior_mean).mean())
+                for point in points]
 
 
 def test_01_posterior_closed_form_matches_grid_integration():
@@ -218,10 +217,11 @@ def test_07_distance_bound_dominates_every_grid_point(bench):
     t0 = time.time()
     reps = 200
     worst = np.inf
-    for pc in (0.2, 0.5, 1.0):
-        for snr in (10.0, 20.0, 40.0):
-            cfg = dataclasses.replace(base, algorithm="WFALD", p_c=pc,
-                                      snr_db=snr, replicates=reps)
+    grid = [dataclasses.replace(base, algorithm="WFALD", p_c=pc, snr_db=snr, replicates=reps)
+            for pc in (0.2, 0.5, 1.0) for snr in (10.0, 20.0, 40.0)]
+    with sequence([(cfg, data) for cfg in grid]):
+        for cfg in grid:
+            pc, snr = cfg.p_c, cfg.snr_db
             result = run(cfg, data)
             for s in (25, 50, 100, 200):
                 est = gaussian_w2_squared(
@@ -244,20 +244,22 @@ def test_08_client_drift_bounds_hold(bench):
     base, data, post = bench
     t0 = time.time()
     lines = []
-    for pc in (0.2, 0.5, 1.0):
-        cfg = dataclasses.replace(base, algorithm="WFALD", snr_db=40.0,
-                                  p_c=pc, replicates=500)
-        result = run(cfg, data)
-        vt = float(result.v_theta.mean())
-        vc = float(result.v_c.mean())
-        vt_bound, vc_bound = drift_bounds(result.constants, cfg.eta, pc,
-                                          cfg.k, cfg.dim, vt)
-        assert vt <= vt_bound, f"pc={pc}: V_theta {vt:.4g} > bound {vt_bound:.4g}"
-        assert vc <= vc_bound, f"pc={pc}: V_c {vc:.4g} > bound {vc_bound:.4g}"
-        if pc == 1.0:
-            assert (result.v_theta == 0.0).all(), \
-                "V_theta must vanish exactly when every round aggregates"
-        lines.append(f"pc={pc}: {vt:.3g}<={vt_bound:.3g}, {vc:.3g}<={vc_bound:.3g}")
+    grid = [dataclasses.replace(base, algorithm="WFALD", snr_db=40.0, p_c=pc, replicates=500)
+            for pc in (0.2, 0.5, 1.0)]
+    with sequence([(cfg, data) for cfg in grid]):
+        for cfg in grid:
+            pc = cfg.p_c
+            result = run(cfg, data)
+            vt = float(result.v_theta.mean())
+            vc = float(result.v_c.mean())
+            vt_bound, vc_bound = drift_bounds(result.constants, cfg.eta, pc,
+                                              cfg.k, cfg.dim, vt)
+            assert vt <= vt_bound, f"pc={pc}: V_theta {vt:.4g} > bound {vt_bound:.4g}"
+            assert vc <= vc_bound, f"pc={pc}: V_c {vc:.4g} > bound {vc_bound:.4g}"
+            if pc == 1.0:
+                assert (result.v_theta == 0.0).all(), \
+                    "V_theta must vanish exactly when every round aggregates"
+            lines.append(f"pc={pc}: {vt:.3g}<={vt_bound:.3g}, {vc:.3g}<={vc_bound:.3g}")
     elapsed = time.time() - t0
     print(f"criterion 8: {'; '.join(lines)}; exact zero at pc=1 ({elapsed:.0f}s)")
     assert elapsed < 180.0
@@ -267,20 +269,21 @@ def test_09_transmit_power_respected_on_every_wireless_round(bench):
     base, data, post = bench
     t0 = time.time()
     total = 0
-    for algorithm in ("WFALD", "WFedAvg"):
-        for snr in (5.0, 10.0, 40.0):
-            for gain_model in ("constant", "rayleigh"):
-                cfg = dataclasses.replace(
-                    base, algorithm=algorithm, snr_db=snr, p_c=0.8,
-                    gain_model=gain_model, replicates=10)
-                result = run(cfg, data)
-                # power_use is each wireless round's largest ||x_k||^2 / P
-                wireless = ~np.isnan(result.power_use)
-                worst = result.power_use[wireless]
-                assert (worst <= 1.0 + 1e-9).all(), (
-                    f"{algorithm} snr={snr} {gain_model}: "
-                    f"||x||^2 = {worst.max() * cfg.power:.6g}")
-                total += cfg.k * int(wireless.sum())
+    grid = [dataclasses.replace(base, algorithm=algorithm, snr_db=snr, p_c=0.8,
+                                gain_model=gain_model, replicates=10)
+            for algorithm in ("WFALD", "WFedAvg") for snr in (5.0, 10.0, 40.0)
+            for gain_model in ("constant", "rayleigh")]
+    with sequence([(cfg, data) for cfg in grid]):
+        for cfg in grid:
+            algorithm, snr, gain_model = cfg.algorithm, cfg.snr_db, cfg.gain_model
+            result = run(cfg, data)
+            # power_use is each wireless round's largest ||x_k||^2 / P
+            wireless = ~np.isnan(result.power_use)
+            worst = result.power_use[wireless]
+            assert (worst <= 1.0 + 1e-9).all(), (
+                f"{algorithm} snr={snr} {gain_model}: "
+                f"||x||^2 = {worst.max() * cfg.power:.6g}")
+            total += cfg.k * int(wireless.sum())
     assert total > 10_000
     elapsed = time.time() - t0
     print(f"criterion 9: power constraint verified on {total} device "

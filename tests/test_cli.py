@@ -221,6 +221,19 @@ def test_collapsed_common_gain_is_a_protocol_failure(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("algorithm", ["WFALD", "WFedAvg"])
+def test_collapsed_common_gain_is_one_line_on_stderr(tmp_path, capsys, algorithm):
+    """The overflow that collapses the gain raises no numpy warning, only the failure line."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["run", "--set", "eta=0.5", "--set", f"algorithm={algorithm}",
+                     "--output", str(tmp_path / "x")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "protocol failure: common gain collapsed to 0 by device 0 at round 114 of replicate 0; "
+        "the step size is likely too large for this problem\n")
+
+
 def test_tiny_constant_gain_is_reported_as_the_gain(tmp_path, capsys):
     """At |h_k| = 1e-300 the receiver's 1/(K alpha) noise rescale overflows at once."""
     with warnings.catch_warnings():

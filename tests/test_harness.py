@@ -1,5 +1,6 @@
 """Harness tests: config parsing, dataset builders, sweeps, CSV and plot data."""
 
+import collections
 import csv
 import dataclasses
 import json
@@ -34,7 +35,9 @@ from wfald.harness import (
     sweep_points,
     write_csv,
 )
+from test_protocol import kill_helper_at
 from wfald.analysis import empirical_gaussian, gaussian_w2_squared
+from wfald.channel import ChannelConfig, ProtocolError
 from wfald.cli import build_parser, main
 from wfald.model import exact_posterior
 from wfald.protocol import BENCHMARK_THETA_STAR, RunConfig, run
@@ -343,6 +346,81 @@ class TestSweepOutput:
     def test_unknown_figure(self, tmp_path):
         with pytest.raises(ConfigurationError, match="unknown figure"):
             emit_plotdata(str(tmp_path / "missing.csv"), "volcano")
+
+
+class _DrawFailure(Exception):
+    pass
+
+
+@pytest.mark.parametrize("outcome", ["ok", "ok_two_workers", "protocol_error",
+                                     "helper_failure", "helper_killed"])
+def test_a_sweep_forks_one_tape_helper_per_worker(monkeypatch, tmp_path, outcome):
+    """Each worker runs its grid points in one sequence, and no child outlives the sweep.
+
+    The grid is two FALD points, then two WFedAvg points.  Failures: near-zero
+    gains fail the third point; the helper raises while drawing the third
+    point, during the second; the helper is killed in the first point.
+    """
+    spec = SweepSpec(base=build_run_config(SMALL), pc_grid=(0.5, 1.0), snr_db_grid=(15.0,),
+                     algorithms=("FALD", "WFedAvg"), replicates=2)
+    log = tmp_path / "forks"
+    fork = os.fork
+
+    def spied_fork():
+        with open(log, "a", encoding="ascii") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", spied_fork)
+    workers, raised = 1, None
+    if outcome == "ok_two_workers":
+        workers = 2
+    elif outcome == "protocol_error":
+        monkeypatch.setattr(ChannelConfig, "draw_gains",
+                            lambda self, size, rng: np.tile([1.0, 1e-12, 1.0], (size[0], 1)))
+        raised = ProtocolError
+    elif outcome == "helper_failure":
+        fill = protocol._Tape.fill
+
+        def failing_fill(self, s0, s1, drawn):
+            if self.config.algorithm == "WFedAvg":
+                raise _DrawFailure("third tape failed")
+            return fill(self, s0, s1, drawn)
+
+        monkeypatch.setattr(protocol._Tape, "fill", failing_fill)
+        raised = _DrawFailure
+    elif outcome == "helper_killed":
+        monkeypatch.setattr(protocol, "REPLICATE_BLOCK", 2)  # one block of 2: 2-round windows
+        monkeypatch.setattr(protocol, "TAPE_WINDOW", 2)
+        kill_helper_at(monkeypatch, 2)
+        raised = ProtocolError
+    if raised is None:
+        run_sweep(spec, str(tmp_path / "out"), workers=workers)
+    else:
+        with pytest.raises(raised):
+            run_sweep(spec, str(tmp_path / "out"), workers=workers)
+    callers = log.read_text(encoding="ascii").split()
+    helpers = [pid for pid in callers if pid != str(os.getpid())]
+    if workers == 1:
+        assert callers == [str(os.getpid())]
+    else:  # the pool forks its workers, and each worker its helper
+        assert len(helpers) == len(set(helpers)) == workers
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_sweep_builds_its_dataset_and_test_set_once(monkeypatch, tmp_path):
+    calls = collections.Counter()
+    for name in ("build_dataset", "build_test_set"):
+        def counted(*args, _name=name, _function=getattr(harness, name)):
+            calls[_name] += 1
+            return _function(*args)
+        monkeypatch.setattr(harness, name, counted)
+    spec = SweepSpec(base=build_run_config(SMALL), pc_grid=(0.5, 1.0), snr_db_grid=(15.0, None),
+                     algorithms=("WFALD", "FALD", "SGLD"), replicates=2)
+    rows = run_sweep(spec, str(tmp_path / "out"))
+    assert len(rows) == 7
+    assert calls == {"build_dataset": 1, "build_test_set": 1}
 
 
 def test_fmt_is_repr_stable():

@@ -153,8 +153,8 @@ def test_algorithms_share_schedule_and_batches(monkeypatch):
     data = build_dataset(cfg_w)
     groups = protocol._build_groups(partition_even(data, cfg_w.k), cfg_w.k, cfg_w.p_b)
 
-    def spy(helper, stop):
-        for replicates, (s0, s1, drawn) in windows(helper, stop):
+    def spy(helper, *args):
+        for replicates, (s0, s1, drawn) in windows(helper, *args):
             for i, g in enumerate(groups):
                 rows = drawn[f"batch{i}"]
                 for b, r in enumerate(replicates):
@@ -336,8 +336,8 @@ def test_window_length_follows_the_block(monkeypatch):
     windows = protocol._Helper.windows
     seen = []
 
-    def spy(helper, stop):
-        for replicates, (s0, s1, drawn) in windows(helper, stop):
+    def spy(helper, *args):
+        for replicates, (s0, s1, drawn) in windows(helper, *args):
             seen.append((s0, s1))
             yield replicates, (s0, s1, drawn)
 
@@ -393,8 +393,8 @@ def kill_helper_at(monkeypatch, round_):
     """Make the parent SIGKILL the helper process when it receives the window at ``round_``."""
     windows = protocol._Helper.windows
 
-    def killing_windows(helper, stop):
-        for replicates, window in windows(helper, stop):
+    def killing_windows(helper, *args):
+        for replicates, window in windows(helper, *args):
             if window[0] == round_:
                 os.kill(helper.pid, signal.SIGKILL)
             yield replicates, window
@@ -451,6 +451,126 @@ def test_no_child_outlives_run(monkeypatch, outcome):
         how = ("exit status 1" if outcome == "helper_unpicklable"
                else f"killed by signal {int(signal.SIGKILL)}")
         assert str(raised.value).endswith(f"({how})")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+RESULT_ARRAYS = ("flags", "avg_traj", "device_mean", "theta_final", "v_theta", "v_c",
+                 "beta", "alpha", "power_use")
+
+
+def assert_same_result(a, b):
+    for name in RESULT_ARRAYS:
+        assert np.array_equal(getattr(a, name), getattr(b, name), equal_nan=True), name
+
+
+def every_layout():
+    """Configs of every slot layout and block shape, on one dataset."""
+    rayleigh = dict(snr_db=5.0, gain_model="rayleigh")
+    configs = [small_config(algorithm="WFALD", replicates=2, **rayleigh),
+               small_config(algorithm="FALD", tau_override=0.5, replicates=3),
+               small_config(algorithm="SGLD", replicates=2, s_total=30),
+               small_config(algorithm="WFedAvg", replicates=4, **rayleigh),
+               small_config(algorithm="WFALD", snr_db=None, replicates=5),
+               small_config(algorithm="FALD", replicates=1)]
+    return configs, build_dataset(configs[0])
+
+
+def test_a_sequence_gives_the_outputs_of_separate_runs(monkeypatch):
+    """One helper draws WFALD, FALD with tau, SGLD, WFedAvg, noiseless WFALD and a thin block.
+
+    Blocks of at most 3 replicates split 5 replicates into blocks of 2 and 3,
+    and that run, noiseless WFALD, has the largest slot, so the sequence's
+    slots are sized by a run that is neither its first nor its last.
+    """
+    monkeypatch.setattr(protocol, "REPLICATE_BLOCK", 3)
+    monkeypatch.setattr(protocol, "TAPE_WINDOW", 2)
+    configs, data = every_layout()
+    separate = [run(cfg, data) for cfg in configs]
+    with protocol.sequence([(cfg, data) for cfg in configs]):
+        together = [run(cfg, data) for cfg in configs]
+        # the last run reaps the helper and lets the slots go
+        assert protocol._active.pid is None and protocol._active.buffer is None
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    for a, b in zip(separate, together):
+        assert_same_result(a, b)
+
+
+def test_a_run_called_out_of_order_raises():
+    configs, data = every_layout()
+    first, second = configs[:2]
+    with protocol.sequence([(first, data), (second, data)]):
+        with pytest.raises(RuntimeError, match="run 0 of a sequence of 2"):
+            run(second, data)
+        with pytest.raises(RuntimeError, match="run 0 of a sequence of 2"):
+            run(dataclasses.replace(first), data)  # equal, but not the config listed
+        run(first, data)
+        run(second, data)
+        with pytest.raises(RuntimeError, match="run 2 of a sequence of 2"):
+            run(second, data)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_failed_run_leaves_the_next_runs_windows_intact(monkeypatch):
+    """Runs that fail or are given up on inside a sequence do not shift the next run's tape.
+
+    The first run diverges (a ProtocolError after the parent has stopped its
+    tape); the second raises in its set-up, before it reads any window; the
+    third raises in its first window, while the helper has drawn more of it.
+    """
+    good = small_config(algorithm="WFALD", snr_db=5.0, gain_model="rayleigh", replicates=3)
+    data = build_dataset(good)
+    alone = run(good, data)
+    diverging = small_config(eta=100.0, s_total=200, s_burn=10)
+    unmeasurable = small_config(region_radius=1e200)
+    broken = small_config(master_seed=5)
+    advance = protocol._advance
+
+    def failing_advance(config, *args):
+        if config.master_seed == broken.master_seed:
+            raise _HelperFailure("parent failed in a window")
+        return advance(config, *args)
+
+    monkeypatch.setattr(protocol, "_advance", failing_advance)
+    monkeypatch.setattr(protocol, "TAPE_WINDOW", 2)
+    runs = [(cfg, data) for cfg in (diverging, unmeasurable, broken, good)]
+    with protocol.sequence(runs):
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ProtocolError, match="non-finite particle"):
+            run(diverging, data)
+        with pytest.raises(ValueError, match="region_radius"):
+            run(unmeasurable, data)
+        with pytest.raises(_HelperFailure, match="parent failed in a window"):
+            run(broken, data)
+        assert_same_result(run(good, data), alone)
+
+
+def test_a_failure_drawing_the_next_run_reaches_that_run(monkeypatch):
+    """The helper raises while drawing the second run; the first returns intact, the second raises.
+
+    The helper draws the second run's first windows while the parent is
+    still on the first run, so the exception waits for the second call.
+    """
+    first = small_config(algorithm="FALD", replicates=2)
+    second = small_config(algorithm="WFedAvg", replicates=2)
+    data = build_dataset(first)
+    alone = run(first, data)
+    fill = protocol._Tape.fill
+
+    def failing_fill(self, s0, s1, drawn):
+        if self.config.algorithm == "WFedAvg":
+            raise _HelperFailure("second tape failed")
+        return fill(self, s0, s1, drawn)
+
+    monkeypatch.setattr(protocol._Tape, "fill", failing_fill)
+    with protocol.sequence([(first, data), (second, data)]):
+        assert_same_result(run(first, data), alone)
+        with pytest.raises(_HelperFailure) as raised:
+            run(second, data)
+    assert type(raised.value) is _HelperFailure
+    assert str(raised.value) == "second tape failed"
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
